@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import decompose, formats, graphs, rep
@@ -165,6 +166,11 @@ def cmd_from_group(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        print(f"error[usage]: --jobs must be between 1 and {cpus}, got {args.jobs}",
+              file=sys.stderr)
+        return EXIT_USAGE
     report = run_sweep(args.rank, jobs=args.jobs)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
+    InternalConsistencyError,
     NotADecompositionError,
     RankTooSmallError,
     UnknownLabelError,
@@ -43,12 +44,6 @@ class OrbitPartition:
     @property
     def block_count(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, s: str) -> frozenset[str]:
-        for b in self.blocks:
-            if s in b:
-                return b
-        raise UnknownLabelError(s)
 
 
 def orbits(g: DecoratedGraph) -> OrbitPartition:
@@ -99,10 +94,9 @@ def _orbit_tree(g: DecoratedGraph) -> OrbitTree:
         return OrbitTree(frozenset(g.labels), ())
     part = orbits(g)
     if part.block_count == 1:
-        # cannot happen for an admissible graph of rank >= 2; keep the tree
-        # well-formed anyway by splitting into singletons
-        children = tuple(OrbitTree(frozenset((s,)), ()) for s in g.labels)
-        return OrbitTree(frozenset(g.labels), children)
+        raise InternalConsistencyError(
+            f"rank-{g.rank} graph has a single orbit; admissible ones have at least two"
+        )
     children = tuple(_orbit_tree(g.restricted(block)) for block in part.blocks)
     return OrbitTree(frozenset(g.labels), children)
 

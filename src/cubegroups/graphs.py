@@ -10,7 +10,7 @@ of the four involutions along one period is the identity permutation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -69,10 +69,6 @@ class DecoratedGraph:
         _check_label(self.involutions, s)
         _check_label(self.involutions, t)
         return self.involutions[s][t]
-
-    def label_index(self, s: str) -> int:
-        _check_label(self.involutions, s)
-        return self.labels.index(s)
 
     def restricted(self, subset) -> "DecoratedGraph":
         """Restriction to an invariant label subset, preserving label order.
@@ -149,13 +145,14 @@ def holonomy(g: DecoratedGraph, s1: str, s2: str) -> Permutation:
     traj = trajectory(g, s1, s2)
     if not traj.is_periodic:
         raise NotFourPeriodicError(traj.seed)
-    comp = {}
-    for t in g.labels:
-        x = t
-        for s in traj.period:
-            x = g.apply(s, x)
-        comp[t] = x
-    return comp
+    return dict(zip(g.labels, _period_images(g, traj.period)))
+
+
+def _period_images(g: DecoratedGraph, period) -> tuple[str, ...]:
+    """Images of the labels, in label order, under the composite along a period."""
+    inv = g.involutions
+    j1, j2, j3, j4 = inv[period[0]], inv[period[1]], inv[period[2]], inv[period[3]]
+    return tuple([j4[j3[j2[j1[t]]]] for t in g.labels])
 
 
 def identity_permutation(labels) -> Permutation:
@@ -180,37 +177,37 @@ def seed_pairs(g: DecoratedGraph):
     return ((u, v) for u, v in itertools.product(g.labels, repeat=2) if u != v)
 
 
+def _failing_seeds(g: DecoratedGraph):
+    """Yield ``(seed, witness)`` for each failing seed, in label order.
+
+    The witness is None when the trajectory is not 4-periodic, and the
+    nontrivial holonomy otherwise.  Each trajectory is computed once.
+    """
+    for u, v in seed_pairs(g):
+        traj = trajectory(g, u, v)
+        if not traj.is_periodic:
+            yield (u, v), None
+            continue
+        images = _period_images(g, traj.period)
+        if images != g.labels:
+            yield (u, v), dict(zip(g.labels, images))
+
+
 def is_admissible(g: DecoratedGraph) -> AdmissibilityReport:
     """Check every trajectory for 4-periodicity and trivial holonomy.
 
     Failures are reported as data, one entry per failing seed, in label order.
     """
-    failures = []
-    ident = identity_permutation(g.labels)
-    for u, v in seed_pairs(g):
-        traj = trajectory(g, u, v)
-        if not traj.is_periodic:
-            failures.append(AdmissibilityFailure((u, v), "NotFourPeriodic"))
-            continue
-        h = holonomy(g, u, v)
-        if h != ident:
-            failures.append(AdmissibilityFailure((u, v), "Holonomy", witness=h))
-    return AdmissibilityReport(not failures, tuple(failures))
+    failures = tuple(
+        AdmissibilityFailure(seed, "NotFourPeriodic" if witness is None else "Holonomy", witness)
+        for seed, witness in _failing_seeds(g)
+    )
+    return AdmissibilityReport(not failures, failures)
 
 
 def admissible_quick(g: DecoratedGraph) -> bool:
     """Short-circuit admissibility test: stops at the first failing seed."""
-    for u, v in seed_pairs(g):
-        traj = trajectory(g, u, v)
-        if not traj.is_periodic:
-            return False
-        for t in g.labels:
-            x = t
-            for s in traj.period:
-                x = g.involutions[s][x]
-            if x != t:
-                return False
-    return True
+    return next(_failing_seeds(g), None) is None
 
 
 def require_admissible(g: DecoratedGraph) -> None:

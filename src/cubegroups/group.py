@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     ClosureSizeMismatchError,
     IllDefinedInvolutionError,
     InternalConsistencyError,
     NotACubeGroupError,
+    NotAdmissibleError,
     NotInvolutionError,
     NotStandardError,
     RankCapExceededError,
+    RankTooSmallError,
     UnknownLabelError,
 )
 from .graphs import DecoratedGraph, require_admissible
@@ -201,21 +203,11 @@ class CubeGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def identity_index(self) -> int:
-        return 0
-
     def element_for_matrix(self, m: SignedPermutation) -> GroupElement:
         return self.elements[self.index_of[m]]
 
     def element_for_word(self, word) -> GroupElement:
         return self.element_for_matrix(word_matrix(self.graph, word))
-
-    def element_for_subset(self, subset) -> GroupElement:
-        target = frozenset(subset)
-        for e in self.elements:
-            if self.subsets[e.index] == target:
-                return e
-        raise KeyError(f"no element with vertex subset {sorted(target)}")
 
     def multiply(self, i: int, k: int) -> int:
         return self.index_of[self.elements[i].matrix.compose(self.elements[k].matrix)]
@@ -230,27 +222,12 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     n = g.rank
     if n > RANK_CAP:
         raise RankCapExceededError(n, RANK_CAP)
-    rho = {s: generator_rho(g, s) for s in g.labels}
-    ident = SignedPermutation.identity(g.labels)
-    elements = [GroupElement(0, ident, ())]
-    index_of = {ident: 0}
-    edges = set()
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        x = elements[i]
-        for s in g.labels:
-            m = x.matrix.compose(rho[s])
-            k = index_of.get(m)
-            if k is None:
-                k = len(elements)
-                elements.append(GroupElement(k, m, (s,) + x.word))
-                index_of[m] = k
-                queue.append(k)
-            edges.add((min(i, k), max(i, k), s))
-    if len(elements) != 2 ** n:
-        raise ClosureSizeMismatchError(2 ** n, len(elements))
-    cayley = LabeledGraph(tuple(range(len(elements))), tuple(sorted(edges)))
+    rho = [generator_rho(g, s) for s in g.labels]
+    matrices, index_of, words, edges = _closure(rho, g.labels, SignedPermutation.compose)
+    if len(matrices) != 2 ** n:
+        raise ClosureSizeMismatchError(2 ** n, len(matrices))
+    elements = [GroupElement(i, m, w) for i, (m, w) in enumerate(zip(matrices, words))]
+    cayley = LabeledGraph(tuple(range(len(elements))), edges)
     cube = is_hypercube(cayley)
     if not cube:
         raise InternalConsistencyError(
@@ -272,11 +249,17 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
 
 
 def _closure(generators, labels, mul):
-    """BFS closure of labeled generators; returns (elements, adjacency, edge labels).
+    """BFS closure of labeled involutive generators.
 
-    `generators` are hashable values with an identity obtained by squaring any
-    involution; elements are discovered in label order.
+    Returns ``(elements, index_of, words, edges)``: the elements in discovery
+    order (identity first, then label order), the element -> index map, a
+    shortest generator word per element (applied-first order, element k is
+    ``mul(elements[i], generator s)`` with word ``(s,) + words[i]``), and the
+    sorted ``(u, v, label)`` Cayley edges with u < v.  `generators` are
+    hashable values; the identity is obtained by squaring the first one.
     """
+    if not generators:
+        raise RankTooSmallError(0, 1)
     if len(set(generators)) != len(generators):
         raise NotACubeGroupError("generators are not pairwise distinct")
     ident = mul(generators[0], generators[0])
@@ -286,7 +269,8 @@ def _closure(generators, labels, mul):
             raise NotInvolutionError(s)
     elements = [ident]
     index_of = {ident: 0}
-    edges = {}
+    words = [()]
+    edges = set()
     queue = deque([0])
     while queue:
         i = queue.popleft()
@@ -297,26 +281,31 @@ def _closure(generators, labels, mul):
                 k = len(elements)
                 elements.append(m)
                 index_of[m] = k
+                words.append((s,) + words[i])
                 queue.append(k)
-            edges[frozenset((i, k))] = s
-    return elements, edges
+            edges.add((min(i, k), max(i, k), s))
+    return elements, index_of, words, tuple(sorted(edges))
 
 
 def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> DecoratedGraph:
     """Extract the decorated graph from involutive generators of a cube group.
 
     Works with any multiplication oracle over hashable, equality-comparable
-    elements.  The group is generated explicitly, its labeled Cayley graph is
-    certified as a cube, and each involution j_s is read off the unique 4-cycle
-    at the identity through each pair of generator edges: a cyclic label
-    reading (t1, t2, t3, t4) contributes j_{t2}(t1) = t3 in both directions.
+    elements.  The group is generated explicitly, its order must be 2^n, its
+    labeled Cayley graph is certified as a cube, and each involution j_s is
+    read off the unique 4-cycle at the identity through each pair of
+    generator edges: a cyclic label reading (t1, t2, t3, t4) contributes
+    j_{t2}(t1) = t3 in both directions.
     """
     labels = tuple(labels)
     generators = list(generators)
     if len(generators) != len(labels):
         raise ValueError("one generator per label required")
-    elements, edge_labels = _closure(generators, labels, mul)
-    edges = tuple(sorted((min(e), max(e), l) for e, l in edge_labels.items()))
+    elements, _, _, edges = _closure(generators, labels, mul)
+    if len(elements) != 2 ** len(labels):
+        raise NotACubeGroupError(
+            f"closure has order {len(elements)}, expected {2 ** len(labels)}"
+        )
     cayley = LabeledGraph(tuple(range(len(elements))), edges)
     cube = is_hypercube(cayley)
     if not cube:
@@ -326,9 +315,10 @@ def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> De
             f"cube dimension {cube.dimension} does not match generator count {len(labels)}"
         )
     adj = cayley.adjacency()
+    label_at = cayley.label_at()
     gen_vertex = {}
     for v in adj[0]:
-        gen_vertex[edge_labels[frozenset((0, v))]] = v
+        gen_vertex[label_at[frozenset((0, v))]] = v
 
     assignments = {s: {s: s} for s in labels}
 
@@ -346,8 +336,8 @@ def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> De
         x = across.pop()
         reading = (
             s1,
-            edge_labels[frozenset((g1, x))],
-            edge_labels[frozenset((x, g2))],
+            label_at[frozenset((g1, x))],
+            label_at[frozenset((x, g2))],
             s2,
         )
         for i in range(4):
@@ -357,34 +347,28 @@ def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> De
         if missing:
             raise IllDefinedInvolutionError(s, f"no reading assigns images for {sorted(missing)}")
     graph = DecoratedGraph(labels, assignments)
-    report_ok = require_admissible_or_reason(graph)
-    if report_ok is not None:
-        raise NotACubeGroupError(f"extracted decorated graph is not admissible ({report_ok})")
+    try:
+        require_admissible(graph)
+    except NotAdmissibleError as exc:
+        reason = ", ".join(f"{f.seed}:{f.kind}" for f in exc.report.failures)
+        raise NotACubeGroupError(
+            f"extracted decorated graph is not admissible ({reason})"
+        ) from exc
     return graph
-
-
-def require_admissible_or_reason(g: DecoratedGraph):
-    from .graphs import is_admissible
-
-    report = is_admissible(g)
-    if report.admissible:
-        return None
-    return ", ".join(f"{f.seed}:{f.kind}" for f in report.failures)
 
 
 def standard_subgroup(G: CubeGroup, subset) -> CubeGroup:
     """Subgroup generated by a label subset, required to be a cube group on it.
 
-    Raises NotStandardError with evidence when the closure has the wrong order
-    or its Cayley graph fails the cube check.
+    The subset's generator matrices go through `decorated_graph_from_group`,
+    and the extracted graph is generated as a cube group.  Raises
+    NotStandardError with that function's evidence when the closure has the
+    wrong order or its Cayley graph fails the cube check.
     """
     T = [s for s in G.graph.labels if s in set(subset)]
     if not T or set(subset) - set(G.graph.labels):
         raise UnknownLabelError(sorted(set(subset) - set(G.graph.labels)) or subset)
     gens = [generator_rho(G.graph, t) for t in T]
-    elements, _ = _closure(gens, T, SignedPermutation.compose)
-    if len(elements) != 2 ** len(T):
-        raise NotStandardError(T, f"closure has order {len(elements)}, expected {2 ** len(T)}")
     try:
         sub_graph = decorated_graph_from_group(gens, T, SignedPermutation.compose)
     except NotACubeGroupError as exc:

@@ -20,7 +20,7 @@ from .decompose import (
     planar_orderings,
     two_orbit_check,
 )
-from .errors import CubeGroupError, RankCapExceededError
+from .errors import CubeGroupError, RankCapExceededError, RankTooSmallError
 from .graphs import DecoratedGraph, admissible_quick
 from .group import generate_group, word_matrix
 from .rep import is_reducible, rho_via_formula
@@ -59,11 +59,17 @@ def involution_count(m: int) -> int:
     return b if m >= 1 else 1
 
 
+def _check_rank(rank: int) -> None:
+    if rank < 1:
+        raise RankTooSmallError(rank, 1)
+    if rank > RANK_CAP:
+        raise RankCapExceededError(rank, RANK_CAP)
+
+
 def enumerate_decorated_graphs(rank: int):
     """Every decorated graph on the first `rank` standard labels, exactly once,
     in deterministic lexicographic order."""
-    if not 1 <= rank <= RANK_CAP:
-        raise RankCapExceededError(rank, RANK_CAP)
+    _check_rank(rank)
     labels = tuple(DEFAULT_LABELS[:rank])
     per_label = []
     for s in labels:
@@ -155,8 +161,7 @@ def sweep(rank: int, jobs: int = 1) -> SweepReport:
 
     Deterministic regardless of `jobs`: results reduce in enumeration order.
     """
-    if not 1 <= rank <= RANK_CAP:
-        raise RankCapExceededError(rank, RANK_CAP)
+    _check_rank(rank)
     report = SweepReport(rank)
     items = enumerate(enumerate_decorated_graphs(rank))
     if jobs > 1:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -159,6 +160,23 @@ class TestEnumerate:
     def test_rank_cap(self, capsys):
         assert main(["enumerate", "--rank", "9"]) == 1
         assert "error[RankCapExceeded]" in capsys.readouterr().err
+
+    def test_rank_zero(self, capsys):
+        assert main(["enumerate", "--rank", "0"]) == 1
+        assert "rank 0 too small; need at least 1" in capsys.readouterr().err
+
+    def test_jobs_zero_rejected(self, capsys):
+        assert main(["enumerate", "--rank", "1", "--jobs", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "--jobs must be between 1 and" in captured.err
+        assert captured.out == ""
+
+    def test_jobs_above_cpu_count_rejected(self, monkeypatch, capsys):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert main(["enumerate", "--rank", "1", "--jobs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "--jobs must be between 1 and 1, got 2" in captured.err
+        assert captured.out == ""
 
     def test_json(self, capsys):
         assert main(["enumerate", "--rank", "2", "--json"]) == 0

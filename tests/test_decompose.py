@@ -4,6 +4,7 @@ import pytest
 
 from cubegroups.decompose import (
     OrbitTree,
+    _orbit_tree,
     decomposition_ordering,
     normal_form,
     orbit_tree,
@@ -13,6 +14,7 @@ from cubegroups.decompose import (
     two_orbit_check,
 )
 from cubegroups.errors import (
+    InternalConsistencyError,
     NotADecompositionError,
     RankTooSmallError,
     UnknownLabelError,
@@ -85,6 +87,13 @@ class TestOrbitTree:
 
     def test_admissible_root_splits(self, rank5):
         assert len(orbit_tree(rank5).children) >= 2
+
+    def test_single_orbit_is_internal_error(self, bad_rank3):
+        # one of the four single-orbit rank-3 graphs; the public entry point
+        # rejects it as not admissible, the recursion must not repair it
+        assert orbits(bad_rank3).block_count == 1
+        with pytest.raises(InternalConsistencyError):
+            _orbit_tree(bad_rank3)
 
 
 def hand_tree(spec):

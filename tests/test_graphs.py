@@ -76,9 +76,14 @@ class TestAdmissibility:
         assert not report.admissible
         assert any(f.kind == "NotFourPeriodic" for f in report.failures)
 
-    def test_quick_check_agrees_with_full_report(self):
-        for g in enumerate_decorated_graphs(3):
-            assert admissible_quick(g) == is_admissible(g).admissible
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_quick_check_agrees_with_full_report(self, rank):
+        for g in enumerate_decorated_graphs(rank):
+            report = is_admissible(g)
+            assert admissible_quick(g) == report.admissible
+            for f in report.failures:
+                if f.kind == "Holonomy":
+                    assert f.witness == holonomy(g, *f.seed)
 
 
 class TestEdgePartition:

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from cubegroups.errors import (
+    NotACubeGroupError,
     NotAdmissibleError,
     NotInvolutionError,
     NotStandardError,
@@ -197,6 +198,14 @@ class TestDecoratedGraphFromGroup:
             Perm.from_cycles(4, [(0, 2), (1, 3)]),
         ]
         assert decorated_graph_from_group(gens, ("a", "b")) == klein
+
+    def test_eight_cycle_group_wrong_order(self):
+        # (1 3) and (1 2)(3 4) generate the dihedral group of order 8, whose
+        # Cayley graph on two generators is an 8-cycle, not a square
+        gens = [Perm.from_cycles(4, [(0, 2)]), Perm.from_cycles(4, [(0, 1), (2, 3)])]
+        with pytest.raises(NotACubeGroupError) as exc:
+            decorated_graph_from_group(gens, ("a", "b"))
+        assert "order 8" in str(exc.value)
 
     def test_rejects_non_involution(self):
         gens = [Perm.from_cycles(3, [(0, 1)]), Perm((1, 2, 0))]

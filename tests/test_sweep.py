@@ -1,6 +1,6 @@
 import pytest
 
-from cubegroups.errors import RankCapExceededError
+from cubegroups.errors import RankCapExceededError, RankTooSmallError
 from cubegroups.sweep import (
     enumerate_decorated_graphs,
     involution_count,
@@ -50,7 +50,11 @@ def test_rank_cap():
     with pytest.raises(RankCapExceededError):
         list(enumerate_decorated_graphs(6))
     with pytest.raises(RankCapExceededError):
+        sweep(6)
+    with pytest.raises(RankTooSmallError):
         sweep(0)
+    with pytest.raises(RankTooSmallError):
+        list(enumerate_decorated_graphs(0))
 
 
 def test_verify_graph_clean_on_fixture(d4):
