@@ -18,6 +18,9 @@ Permutation-group file grammar::
 
 Each line declares one involutive generator as a permutation of positive
 integers in cycle notation.
+
+In both grammars a label is any token `graphs.validate_label` accepts; a
+label it rejects is a ParseError at its line.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .errors import (
     SelfCycleError,
     UnknownLabelError,
 )
-from .graphs import DecoratedGraph
+from .graphs import DecoratedGraph, validate_label
 from .group import CubeGroup
 from .signedperm import Perm
 
@@ -41,6 +44,14 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
+
+
+def _parse_label(s: str, lineno: int) -> str:
+    try:
+        validate_label(s)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
+    return s
 
 
 def _parse_cycles(text: str, lineno: int) -> list[tuple[str, ...]]:
@@ -73,6 +84,7 @@ def parse_decorated_graph(doc: str) -> DecoratedGraph:
                 raise ParseError("empty generator list", lineno)
             seen = set()
             for s in labels:
+                _parse_label(s, lineno)
                 if s in seen:
                     raise DuplicateLabelError(s)
                 seen.add(s)
@@ -140,9 +152,7 @@ def parse_perm_group(doc: str) -> tuple[tuple[str, ...], list[Perm]]:
         if "=" not in line:
             raise ParseError(f"expected '<label> = <cycles>', got {line!r}", lineno)
         name, _, cycle_text = line.partition("=")
-        name = name.strip()
-        if not name or any(ch.isspace() for ch in name):
-            raise ParseError(f"bad label {name!r}", lineno)
+        name = _parse_label(name.strip(), lineno)
         cycles = []
         for cycle in _parse_cycles(cycle_text.strip(), lineno):
             try:

@@ -16,12 +16,31 @@ from enum import Enum
 from .errors import (
     DistinctLabelsRequiredError,
     DuplicateLabelError,
+    InternalConsistencyError,
     NotAdmissibleError,
     NotFourPeriodicError,
     UnknownLabelError,
 )
 
 Permutation = dict[str, str]
+
+# Characters the text formats give a meaning: comments, cycles, the
+# "<label>:" prefix, and DOT string quoting and escapes.
+_RESERVED_LABEL_CHARS = '#():"\\'
+
+
+def validate_label(s: str) -> None:
+    """Raise ValueError unless `s` can be a generator label.
+
+    A label is nonempty and holds no whitespace and none of ``#():"\\``, so
+    every accepted label round-trips through the text formats and is safe
+    inside a quoted DOT string.
+    """
+    if not s or any(ch.isspace() or ch in _RESERVED_LABEL_CHARS for ch in s):
+        raise ValueError(
+            f"bad label {s!r}: must be nonempty, without whitespace or any of "
+            f"{_RESERVED_LABEL_CHARS}"
+        )
 
 
 def _check_label(labels, s):
@@ -44,8 +63,7 @@ class DecoratedGraph:
     def __post_init__(self):
         seen = set()
         for s in self.labels:
-            if not s or any(ch.isspace() for ch in s):
-                raise ValueError(f"bad label {s!r}: must be nonempty without whitespace")
+            validate_label(s)
             if s in seen:
                 raise DuplicateLabelError(s)
             seen.add(s)
@@ -251,7 +269,9 @@ def _canonical_cycle(cycle):
 def edge_partition(g: DecoratedGraph) -> tuple[EdgeGroup, ...]:
     """Partition the unordered label pairs into 4-cycles, angles, and single edges.
 
-    Requires 4-periodicity of every trajectory (checked seed by seed).
+    Requires 4-periodicity of every trajectory (checked seed by seed); raises
+    InternalConsistencyError if two blocks share an edge, which periodic input
+    cannot produce.
     """
     covered = set()
     groups = []
@@ -278,9 +298,9 @@ def edge_partition(g: DecoratedGraph) -> tuple[EdgeGroup, ...]:
             group = EdgeGroup(traj.kind, _canonical_cycle((s1, s2, s3, s4)))
         new_edges = group.edges
         if new_edges & covered:
-            raise NotAdmissibleError(
-                AdmissibilityReport(False, (AdmissibilityFailure((u, v), "NotFourPeriodic"),))
-            )
+            # (a, b) -> (b, j_b(a)) is invertible, and a periodic orbit read
+            # backwards is an orbit too, so blocks of periodic input are disjoint
+            raise InternalConsistencyError(f"trajectory block at seed {(u, v)} overlaps another")
         covered |= new_edges
         groups.append(group)
     return tuple(groups)

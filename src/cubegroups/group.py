@@ -3,8 +3,9 @@
 An admissible decorated graph of rank n generates a group of 2^n signed
 permutations (the geometric images of the group elements).  The labeled Cayley
 graph of that closure must be the 1-skeleton of the n-cube; `is_hypercube`
-certifies this directly by assigning coordinates from parallel edge classes
-and checking adjacency against Hamming distance 1.
+certifies this directly by assigning each vertex a bitmask in {0,1}^n
+breadth-first from one vertex and checking adjacency against Hamming
+distance 1.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ class LabeledGraph:
             raise ValueError("parallel edges are not allowed")
         if any(u >= v for u, v in pairs):
             raise ValueError("edges must be stored as (u, v) with u < v")
-        for v in self.vertices:
-            labels = [l for a, b, l in self.edges if v in (a, b)]
-            if len(labels) != len(set(labels)):
-                raise ValueError(f"repeated edge label at vertex {v}")
+        ends = {(x, l) for u, v, l in self.edges for x in (u, v)}
+        if len(ends) != 2 * len(self.edges):
+            raise ValueError("repeated edge label at a vertex")
 
     def adjacency(self) -> dict[int, set[int]]:
         adj = {v: set() for v in self.vertices}
@@ -64,100 +64,54 @@ class LabeledGraph:
 class HypercubeResult:
     is_hypercube: bool
     dimension: int | None = None
-    coords: dict[int, int] | None = None          # vertex -> coordinate bitmask
-    edge_class: dict[frozenset, int] | None = None  # edge -> parallel class id
+    coords: dict[int, int] | None = None  # vertex -> coordinate bitmask
     reason: str | None = None
 
     def __bool__(self):
         return self.is_hypercube
 
 
-class _DisjointSet:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def is_hypercube(lg: LabeledGraph) -> HypercubeResult:
-    """Decide whether a connected simple graph is the 1-skeleton of a cube.
+    """Decide whether a simple graph is the 1-skeleton of a cube.
 
-    Edges are grouped into parallel classes (transitive closure of "opposite
-    sides of a common 4-cycle").  The graph passes when there are exactly n
-    classes, each a perfect matching, and the bit-flip coordinate map is a
-    consistent bijection onto {0,1}^n under which adjacency is exactly Hamming
-    distance 1.  That final check certifies the isomorphism outright.
+    The first vertex gets coordinate 0 and its i-th neighbour, in sorted
+    order, bit i; breadth-first, every later vertex gets the OR of its
+    neighbours' coordinates in the previous layer.  On a cube this
+    reconstructs an isomorphism onto {0,1}^n.  The graph passes when every
+    vertex is reached, the coordinate map is a bijection onto {0,1}^n, and
+    each vertex's neighbours are exactly its Hamming-distance-1 coordinates.
+    That final check certifies the isomorphism outright.  Linear in the
+    number of edges.
     """
     verts = lg.vertices
     if not verts:
         return HypercubeResult(False, reason="empty graph")
     adj = lg.adjacency()
-    edge_ids = {frozenset((u, v)): i for i, (u, v, _) in enumerate(lg.edges)}
-
-    # connectivity
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(verts):
-        return HypercubeResult(False, reason="graph is not connected")
-
-    # parallel classes via 4-cycles u-v-x-w-u
-    ds = _DisjointSet(len(lg.edges))
-    for u in verts:
-        for v, w in itertools.combinations(sorted(adj[u]), 2):
-            for x in (adj[v] & adj[w]) - {u}:
-                ds.union(edge_ids[frozenset((u, v))], edge_ids[frozenset((w, x))])
-                ds.union(edge_ids[frozenset((u, w))], edge_ids[frozenset((v, x))])
-    roots = sorted({ds.find(i) for i in range(len(lg.edges))})
-    class_of = {e: roots.index(ds.find(i)) for e, i in edge_ids.items()}
-    n = len(roots)
-
+    base = verts[0]
+    n = len(adj[base])
     if len(verts) != 2 ** n:
         return HypercubeResult(
-            False, reason=f"{n} parallel classes but {len(verts)} vertices (need 2^{n})"
+            False, reason=f"{len(verts)} vertices but the first has degree {n} (need 2^{n})"
         )
-    # each class must be a perfect matching
-    for c in range(n):
-        touched = [v for e in class_of if class_of[e] == c for v in e]
-        if len(touched) != len(verts) or len(set(touched)) != len(verts):
-            return HypercubeResult(False, reason=f"parallel class {c} is not a perfect matching")
-
-    # coordinates: crossing a class-c edge flips bit c
-    base = verts[0]
     coords = {base: 0}
-    queue = deque([base])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            bit = 1 << class_of[frozenset((u, v))]
-            want = coords[u] ^ bit
-            if v in coords:
-                if coords[v] != want:
-                    return HypercubeResult(False, reason="inconsistent coordinate assignment")
-            else:
-                coords[v] = want
-                queue.append(v)
+    layer = sorted(adj[base])
+    coords.update((v, 1 << i) for i, v in enumerate(layer))
+    while layer:
+        nxt = {}
+        for u in layer:
+            for w in adj[u]:
+                if w not in coords:
+                    nxt[w] = nxt.get(w, 0) | coords[u]
+        coords.update(nxt)
+        layer = list(nxt)
+    if len(coords) != len(verts):
+        return HypercubeResult(False, reason="graph is not connected")
     if len(set(coords.values())) != 2 ** n:
         return HypercubeResult(False, reason="coordinate map is not a bijection")
-    # adjacency must be exactly Hamming distance 1
     for u in verts:
-        nbr = {coords[v] for v in adj[u]}
-        if nbr != {coords[u] ^ (1 << c) for c in range(n)}:
+        if {coords[v] for v in adj[u]} != {coords[u] ^ (1 << c) for c in range(n)}:
             return HypercubeResult(False, reason=f"vertex {u} lacks Hamming-1 neighborhood")
-    return HypercubeResult(True, dimension=n, coords=coords, edge_class=class_of)
+    return HypercubeResult(True, dimension=n, coords=coords)
 
 
 def generator_rho(g: DecoratedGraph, s: str) -> SignedPermutation:
@@ -191,9 +145,7 @@ class CubeGroup:
     elements: list[GroupElement]
     index_of: dict[SignedPermutation, int]
     cayley: LabeledGraph
-    coords: dict[int, int]                 # element index -> hypercube bitmask
-    class_label: tuple[str, ...]           # parallel class bit -> generator label
-    subsets: list[frozenset[str]]          # element index -> vertex subset T
+    subsets: list[frozenset[str]]  # element index -> vertex subset T
 
     @property
     def rank(self) -> int:
@@ -233,19 +185,13 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
         raise InternalConsistencyError(
             f"Cayley graph of an admissible graph failed the cube check: {cube.reason}"
         )
-    # map each parallel class to the generator labeling its edge at the identity
-    label_at = cayley.label_at()
-    class_label = [None] * cube.dimension
-    adj = cayley.adjacency()
-    for v in adj[0]:
-        e = frozenset((0, v))
-        class_label[cube.edge_class[e]] = label_at[e]
-    class_label = tuple(class_label)
+    # each coordinate bit is the generator labeling the identity's edge along it
+    bit_label = {cube.coords[v]: s for u, v, s in cayley.edges if u == 0}
     subsets = [
-        frozenset(class_label[c] for c in range(cube.dimension) if cube.coords[e.index] >> c & 1)
+        frozenset(s for bit, s in bit_label.items() if cube.coords[e.index] & bit)
         for e in elements
     ]
-    return CubeGroup(g, elements, index_of, cayley, cube.coords, class_label, subsets)
+    return CubeGroup(g, elements, index_of, cayley, subsets)
 
 
 def _closure(generators, labels, mul):
@@ -310,10 +256,6 @@ def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> De
     cube = is_hypercube(cayley)
     if not cube:
         raise NotACubeGroupError(cube.reason)
-    if cube.dimension != len(labels):
-        raise NotACubeGroupError(
-            f"cube dimension {cube.dimension} does not match generator count {len(labels)}"
-        )
     adj = cayley.adjacency()
     label_at = cayley.label_at()
     gen_vertex = {}

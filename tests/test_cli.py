@@ -144,6 +144,12 @@ class TestFromGroup:
         assert main(["from-group", str(path)]) == 0
         assert capsys.readouterr().out == "gens: a b c\na: (b c)\n"
 
+    def test_bad_label_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.pg"
+        path.write_text("a = (1 2)\nb( = (3 4)\n")
+        assert main(["from-group", str(path)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_eight_cycle_group_rejected(self, tmp_path, capsys):
         # two involutions whose product has order 4: Cayley graph is an 8-cycle
         path = tmp_path / "dih8.pg"

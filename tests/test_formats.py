@@ -1,3 +1,6 @@
+import re
+import string
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +22,19 @@ from cubegroups.formats import (
 from cubegroups.graphs import admissible_quick
 from cubegroups.group import generate_group
 from cubegroups.sweep import enumerate_decorated_graphs
+
+from conftest import graph_from
+
+# three distinct printable labels, as a D4-shaped graph: j_x = (y z)
+label_triples = st.lists(st.text(string.printable, max_size=3), min_size=3, max_size=3,
+                         unique=True)
+
+
+def d4_shaped(x, y, z):
+    return graph_from((x, y, z), {x: [(y, z)]})
+
+
+_DOT_LINE = re.compile(r'  v\d+ (-- v\d+ )?\[label="[^"\\]*"\];')
 
 
 class TestParseDecoratedGraph:
@@ -65,12 +81,32 @@ class TestParseDecoratedGraph:
             parse_decorated_graph("gens: a b c\n\nnot a line\n")
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("label", ["(a", "a)", "a:", 'a"', "a\\"])
+    def test_bad_label_rejected_with_line(self, label):
+        with pytest.raises(ParseError, match="bad label") as exc:
+            parse_decorated_graph(f"# header follows\ngens: {label} b\n")
+        assert exc.value.line == 2
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_parse_after_serialize_is_identity(self, rank):
         for g in enumerate_decorated_graphs(rank):
             assert parse_decorated_graph(serialize_decorated_graph(g)) == g
+
+    def test_comment_char_label_rejected(self):
+        # "a#" used to serialise to "gens: a# b", which parses back as the
+        # different graph on labels ("a",)
+        with pytest.raises(ValueError, match="bad label"):
+            graph_from(("a#", "b"))
+
+    @given(label_triples)
+    def test_labels_are_rejected_or_round_trip(self, labels):
+        try:
+            g = d4_shaped(*labels)
+        except ValueError:
+            return
+        assert parse_decorated_graph(serialize_decorated_graph(g)) == g
 
     def test_serialize_after_parse_is_canonical(self):
         messy = "gens: a b c d e\n# comment\ne: (b d)(a c)\na: (b d)\n"
@@ -102,6 +138,12 @@ class TestParsePermGroup:
         with pytest.raises(ParseError):
             parse_perm_group("# nothing\n")
 
+    @pytest.mark.parametrize("name", ["a(", "a)", "a:", 'a"', "a\\", "a b"])
+    def test_bad_label_rejected_with_line(self, name):
+        with pytest.raises(ParseError, match="bad label") as exc:
+            parse_perm_group(f"a = (1 2)\n{name} = (3 4)\n")
+        assert exc.value.line == 2
+
 
 class TestDotExport:
     def test_vertex_and_edge_counts(self, d4):
@@ -124,6 +166,17 @@ class TestDotExport:
             G = generate_group(g)
             assert len(G.cayley.edges) == rank * 2 ** (rank - 1)
             assert len(G.cayley.vertices) == 2 ** rank
+
+    @given(label_triples)
+    def test_quoted_strings_hold_no_quote_or_escape(self, labels):
+        try:
+            g = d4_shaped(*labels)
+        except ValueError:
+            return
+        lines = cayley_dot(generate_group(g)).splitlines()
+        assert lines[0] == "graph cayley {" and lines[-1] == "}"
+        for line in lines[1:-1]:
+            assert _DOT_LINE.fullmatch(line), line
 
 
 def test_format_word():

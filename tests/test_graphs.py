@@ -2,13 +2,16 @@ import itertools
 
 import pytest
 
+from cubegroups import graphs
 from cubegroups.errors import (
     DistinctLabelsRequiredError,
+    InternalConsistencyError,
     NotAdmissibleError,
     NotFourPeriodicError,
     UnknownLabelError,
 )
 from cubegroups.graphs import (
+    Trajectory,
     TrajectoryKind,
     admissible_quick,
     edge_partition,
@@ -20,6 +23,8 @@ from cubegroups.graphs import (
     trajectory,
 )
 from cubegroups.sweep import enumerate_decorated_graphs
+
+from conftest import graph_from
 
 
 class TestTrajectory:
@@ -113,6 +118,17 @@ class TestEdgePartition:
         with pytest.raises(NotAdmissibleError):
             edge_partition(bad_rank3)
 
+    def test_overlapping_blocks_are_internal_errors(self, monkeypatch):
+        # every seed (s1, s2) reads as the angle s1-s2-x through the third
+        # label x, so the blocks of (a, b) and (a, c) share the edge {b, c}
+        def fake_trajectory(g, s1, s2):
+            (x,) = set(g.labels) - {s1, s2}
+            return Trajectory((s1, s2), (s1, s2, x, s2, s1, s2), TrajectoryKind.ANGLE)
+
+        monkeypatch.setattr(graphs, "trajectory", fake_trajectory)
+        with pytest.raises(InternalConsistencyError, match="overlaps"):
+            edge_partition(graph_from("abc"))
+
     @pytest.mark.parametrize("rank", [3, 4])
     def test_covers_every_pair_once(self, rank):
         for g in enumerate_decorated_graphs(rank):
@@ -187,3 +203,9 @@ def test_restriction_of_invariant_subset(d4):
     sub = d4.restricted({"b", "c"})
     assert sub.labels == ("b", "c")
     assert is_admissible(sub).admissible
+
+
+@pytest.mark.parametrize("label", ["", "a b", "a\tb", "a#", "(a", "a)", "a:", 'a"', "a\\"])
+def test_bad_labels_rejected(label):
+    with pytest.raises(ValueError, match="bad label"):
+        graph_from((label, "z"))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -45,6 +46,64 @@ def cube_skeleton(n):
     return LabeledGraph(verts, tuple(sorted(edges)))
 
 
+def labeled(n_vertices, pairs):
+    """LabeledGraph on range(n_vertices) with a distinct label per edge."""
+    edges = tuple(sorted((min(u, v), max(u, v), f"e{u}-{v}") for u, v in pairs))
+    return LabeledGraph(tuple(range(n_vertices)), edges)
+
+
+def is_cube_by_search(n_vertices, pairs):
+    """Oracle: some vertex bijection onto {0,1}^n maps the edges onto the n-cube's."""
+    n = n_vertices.bit_length() - 1
+    if n_vertices == 0 or n_vertices != 2 ** n or len(pairs) != n * 2 ** n // 2:
+        return False
+    # with equal edge counts, a bijection maps edges onto cube edges iff
+    # every edge lands on a Hamming-distance-1 pair
+    return any(
+        all((p[u] ^ p[v]) & ((p[u] ^ p[v]) - 1) == 0 for u, v in pairs)
+        for p in itertools.permutations(range(n_vertices))
+    )
+
+
+def swapped_cube(seed, swaps):
+    """Q3 after `swaps` degree-preserving double-edge swaps, vertices renumbered."""
+    rng = random.Random(seed)
+    edges = {(v, v ^ (1 << c)) for v in range(8) for c in range(3) if v < v ^ (1 << c)}
+    done = 0
+    while done < swaps:
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        new = {tuple(sorted((a, d))), tuple(sorted((c, b)))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            edges = (edges - {(a, b), (c, d)}) | new
+            done += 1
+    relabel = list(range(8))
+    rng.shuffle(relabel)
+    return [(relabel[u], relabel[v]) for u, v in edges]
+
+
+class TestLabeledGraph:
+    def test_parallel_edge_rejected(self):
+        with pytest.raises(ValueError, match="parallel edges"):
+            LabeledGraph((0, 1), ((0, 1, "a"), (0, 1, "b")))
+
+    @pytest.mark.parametrize("edge", [(1, 0, "a"), (1, 1, "a")])
+    def test_edge_order_enforced(self, edge):
+        with pytest.raises(ValueError, match="u < v"):
+            LabeledGraph((0, 1), (edge,))
+
+    @pytest.mark.parametrize("edges", [
+        ((0, 1, "a"), (0, 2, "a")),  # at the shared lower endpoint
+        ((0, 2, "a"), (1, 2, "a")),  # at the shared upper endpoint
+        ((0, 1, "a"), (1, 2, "a")),  # upper end of one edge, lower end of the other
+    ])
+    def test_repeated_label_at_vertex_rejected(self, edges):
+        with pytest.raises(ValueError, match="repeated edge label"):
+            LabeledGraph((0, 1, 2), edges)
+
+    def test_label_may_repeat_at_distinct_vertices(self):
+        assert len(LabeledGraph((0, 1, 2, 3), ((0, 1, "a"), (2, 3, "a"))).edges) == 2
+
+
 class TestGeneratorRho:
     def test_d4_a(self, d4):
         rho = generator_rho(d4, "a")
@@ -86,6 +145,38 @@ class TestIsHypercube:
     def test_square_coordinates_are_bijective(self):
         result = is_hypercube(cube_skeleton(2))
         assert sorted(result.coords.values()) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("n_vertices", [0, 1, 2, 3, 4])
+    def test_agrees_with_search_on_every_small_graph(self, n_vertices):
+        pairs = list(itertools.combinations(range(n_vertices), 2))
+        for mask in range(2 ** len(pairs)):
+            chosen = [e for i, e in enumerate(pairs) if mask >> i & 1]
+            assert bool(is_hypercube(labeled(n_vertices, chosen))) == is_cube_by_search(
+                n_vertices, chosen
+            ), chosen
+
+    def test_agrees_with_search_on_swapped_cubes(self):
+        verdicts = set()
+        for seed in range(16):
+            pairs = swapped_cube(seed, swaps=seed % 4)
+            verdict = bool(is_hypercube(labeled(8, pairs)))
+            assert verdict == is_cube_by_search(8, pairs), (seed, pairs)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n_vertices, pairs, reason", [
+        (0, [], "empty graph"),
+        (8, [(i, (i + 1) % 8) for i in range(8)],
+         "8 vertices but the first has degree 2 (need 2^2)"),
+        (4, [(0, 1), (0, 2), (1, 2)], "graph is not connected"),
+        (8, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (1, 5), (2, 5), (3, 6), (3, 7)],
+         "coordinate map is not a bijection"),
+        (4, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 2)], "vertex 1 lacks Hamming-1 neighborhood"),
+    ], ids=["empty", "degree", "disconnected", "collision", "hamming"])
+    def test_failure_reasons(self, n_vertices, pairs, reason):
+        result = is_hypercube(labeled(n_vertices, pairs))
+        assert not result
+        assert result.reason == reason
 
 
 class TestGenerateGroup:
