@@ -28,7 +28,6 @@ from __future__ import annotations
 import re
 
 from .errors import (
-    DuplicateLabelError,
     NonDisjointCyclesError,
     NotInvolutionError,
     ParseError,
@@ -86,7 +85,7 @@ def parse_decorated_graph(doc: str) -> DecoratedGraph:
             for s in labels:
                 _parse_label(s, lineno)
                 if s in seen:
-                    raise DuplicateLabelError(s)
+                    raise ParseError(f"duplicate generator label {s!r}", lineno)
                 seen.add(s)
             continue
         if ":" not in line:
@@ -166,9 +165,9 @@ def parse_perm_group(doc: str) -> tuple[tuple[str, ...], list[Perm]]:
     if not entries:
         raise ParseError("no generators declared")
     labels = []
-    for _, name, _ in entries:
+    for lineno, name, _ in entries:
         if name in labels:
-            raise DuplicateLabelError(name)
+            raise ParseError(f"duplicate generator label {name!r}", lineno)
         labels.append(name)
     degree = max((p for _, _, cycles in entries for c in cycles for p in c), default=1)
     perms = []

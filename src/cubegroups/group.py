@@ -45,6 +45,9 @@ class LabeledGraph:
             raise ValueError("parallel edges are not allowed")
         if any(u >= v for u, v in pairs):
             raise ValueError("edges must be stored as (u, v) with u < v")
+        verts = set(self.vertices)
+        if any(u not in verts or v not in verts for u, v in pairs):
+            raise ValueError("edge endpoint is not a vertex")
         ends = {(x, l) for u, v, l in self.edges for x in (u, v)}
         if len(ends) != 2 * len(self.edges):
             raise ValueError("repeated edge label at a vertex")
@@ -124,9 +127,12 @@ def generator_rho(g: DecoratedGraph, s: str) -> SignedPermutation:
 
 def word_matrix(g: DecoratedGraph, word) -> SignedPermutation:
     """Fold generator matrices along a word in applied-first order."""
+    rho = {}
     m = SignedPermutation.identity(g.labels)
     for s in word:
-        m = generator_rho(g, s).compose(m)
+        if s not in rho:
+            rho[s] = generator_rho(g, s)
+        m = rho[s].compose(m)
     return m
 
 

@@ -70,6 +70,49 @@ def rho_via_formula(g: DecoratedGraph, word) -> SignedPermutation:
     return SignedPermutation.from_maps(g.labels, perm, signs)
 
 
+def formula_and_fold(g: DecoratedGraph, max_len: int):
+    """Every word of length <= max_len with its matrix computed two ways.
+
+    Yields ``(word, (perm, signs), fold)`` depth-first over the word tree, a
+    word before its extensions and siblings in label order.  The formula
+    side is the sign-count formula as index tuples: each target keeps its
+    current image and its sign, and the sign flips when the next letter
+    equals the current image.  It uses only the involutions, never
+    `SignedPermutation` arithmetic.  The fold side is the generator matrices
+    multiplied along the word, one `compose` per word on its parent's
+    matrix.  The two sides agree exactly when ``(fold.perm, fold.signs)``
+    equals the formula pair.
+    """
+    labels = g.labels
+    n = len(labels)
+    index = {s: i for i, s in enumerate(labels)}
+    involution = [tuple(index[g.involutions[s][t]] for t in labels) for s in labels]
+    rho = [generator_rho(g, s) for s in labels]
+    stack = [((), tuple(range(n)), (1,) * n, SignedPermutation.identity(labels))]
+    while stack:
+        word, images, signs, fold = stack.pop()
+        yield word, (images, signs), fold
+        if len(word) == max_len:
+            continue
+        for k in reversed(range(n)):
+            j = involution[k]
+            stack.append((
+                word + (labels[k],),
+                tuple(j[x] for x in images),
+                tuple(-e if x == k else e for e, x in zip(signs, images)),
+                rho[k].compose(fold),
+            ))
+
+
+def sign_formula_mismatches(g: DecoratedGraph, max_len: int) -> list[tuple[str, ...]]:
+    """Words of length <= max_len whose formula matrix differs from the fold
+    (expected: none), shortest first, then lexicographic in label order."""
+    bad = [w for w, formula, fold in formula_and_fold(g, max_len)
+           if formula != (fold.perm, fold.signs)]
+    index = {s: i for i, s in enumerate(g.labels)}
+    return sorted(bad, key=lambda w: (len(w), [index[s] for s in w]))
+
+
 def invariant_coordinate_subspaces(g: DecoratedGraph) -> list[frozenset[str]]:
     """Orbit blocks of the label action; each spans an invariant subspace.
 

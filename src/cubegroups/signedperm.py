@@ -40,6 +40,16 @@ class SignedPermutation:
         signs = tuple(sign_map[s] for s in labels)
         return cls(labels, perm, signs)
 
+    @classmethod
+    def _trusted(cls, labels, perm, signs) -> "SignedPermutation":
+        """Construct without validation, for results of arithmetic on valid
+        operands (the composite or inverse of signed permutations is one)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "signs", signs)
+        return self
+
     @property
     def is_identity(self) -> bool:
         return self.perm == tuple(range(len(self.labels))) and all(s == 1 for s in self.signs)
@@ -51,7 +61,7 @@ class SignedPermutation:
             raise LabelSetMismatchError(self.labels, other.labels)
         perm = tuple(self.perm[p] for p in other.perm)
         signs = tuple(o * self.signs[p] for o, p in zip(other.signs, other.perm))
-        return SignedPermutation(self.labels, perm, signs)
+        return SignedPermutation._trusted(self.labels, perm, signs)
 
     __mul__ = compose
 
@@ -62,7 +72,7 @@ class SignedPermutation:
         for i, p in enumerate(self.perm):
             inv_perm[p] = i
             inv_signs[p] = self.signs[i]
-        return SignedPermutation(self.labels, tuple(inv_perm), tuple(inv_signs))
+        return SignedPermutation._trusted(self.labels, tuple(inv_perm), tuple(inv_signs))
 
     def image_label(self, t: str) -> str:
         return self.labels[self.perm[self._index(t)]]

@@ -125,13 +125,14 @@ def test_criterion_3_rank5_fixture():
 
 def test_criterion_4_exhaustive_sweep():
     start = time.time()
-    for rank in (1, 2, 3, 4):
+    for rank in (1, 2, 3, 4, 5):
         rep = sweep(rank)
         assert rep.failures == []
         assert rep.verified_count == rep.admissible_count
+    assert (rep.total_graphs, rep.admissible_count, rep.verified_count) == (100_000, 236, 236)
     elapsed = time.time() - start
     assert elapsed < 60.0
-    report(4, "exhaustive sweep rank <= 4, zero failures", elapsed)
+    report(4, "exhaustive sweep rank <= 5, zero failures", elapsed)
 
 
 def _admissible_pool():

@@ -64,6 +64,13 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         assert "error[parse]" in capsys.readouterr().err
 
+    def test_duplicate_label_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "dup.dg"
+        path.write_text("gens: a a\n")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error[parse]" in err and "line 1" in err
+
 
 class TestGroup:
     def test_d4(self, d4_file, capsys):
@@ -149,6 +156,13 @@ class TestFromGroup:
         path.write_text("a = (1 2)\nb( = (3 4)\n")
         assert main(["from-group", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_duplicate_label_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "dup.pg"
+        path.write_text("a = (1 2)\na = (3 4)\n")
+        assert main(["from-group", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error[parse]" in err and "line 2" in err
 
     def test_eight_cycle_group_rejected(self, tmp_path, capsys):
         # two involutions whose product has order 4: Cayley graph is an 8-cycle

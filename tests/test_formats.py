@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cubegroups.errors import (
-    DuplicateLabelError,
     NonDisjointCyclesError,
     NotInvolutionError,
     ParseError,
@@ -64,8 +63,10 @@ class TestParseDecoratedGraph:
             parse_decorated_graph("gens: a b c\na: (b z)\n")
 
     def test_duplicate_label_rejected(self):
-        with pytest.raises(DuplicateLabelError):
-            parse_decorated_graph("gens: a a\n")
+        with pytest.raises(ParseError) as exc:
+            parse_decorated_graph("# rank 2\ngens: a a\n")
+        assert exc.value.line == 2
+        assert "'a'" in str(exc.value)
 
     def test_missing_header(self):
         with pytest.raises(ParseError) as exc:
@@ -131,8 +132,10 @@ class TestParsePermGroup:
             parse_perm_group("a = (1 2)\nb =\n")
 
     def test_rejects_duplicate_labels(self):
-        with pytest.raises(DuplicateLabelError):
-            parse_perm_group("a = (1 2)\na = (3 4)\n")
+        with pytest.raises(ParseError) as exc:
+            parse_perm_group("a = (1 2)\nb = (1 3)\n\na = (3 4)\n")
+        assert exc.value.line == 4
+        assert "'a'" in str(exc.value)
 
     def test_rejects_empty_document(self):
         with pytest.raises(ParseError):

@@ -100,6 +100,15 @@ class TestLabeledGraph:
         with pytest.raises(ValueError, match="repeated edge label"):
             LabeledGraph((0, 1, 2), edges)
 
+    @pytest.mark.parametrize("vertices, edge", [
+        ((0,), (0, 1, "a")),  # upper endpoint missing
+        ((1, 2), (0, 1, "a")),  # lower endpoint missing
+        ((3, 7), (3, 5, "a")),  # endpoint between two vertex numbers
+    ])
+    def test_edge_endpoint_must_be_a_vertex(self, vertices, edge):
+        with pytest.raises(ValueError, match="not a vertex"):
+            LabeledGraph(vertices, (edge,))
+
     def test_label_may_repeat_at_distinct_vertices(self):
         assert len(LabeledGraph((0, 1, 2, 3), ((0, 1, "a"), (2, 3, "a"))).edges) == 2
 

@@ -3,17 +3,21 @@ import random
 
 import pytest
 
+from cubegroups import rep
 from cubegroups.errors import RankTooSmallError, UnknownLabelError
 from cubegroups.graphs import admissible_quick
 from cubegroups.group import generate_group, generator_rho, word_matrix
 from cubegroups.rep import (
     embed_vertex,
+    formula_and_fold,
     invariant_coordinate_subspaces,
     is_reducible,
     rho_via_formula,
     sign_count,
+    sign_formula_mismatches,
 )
-from cubegroups.sweep import enumerate_decorated_graphs
+from cubegroups.signedperm import SignedPermutation
+from cubegroups.sweep import FORMULA_WORD_LENGTH, enumerate_decorated_graphs, verify_graph
 
 
 class TestEmbedVertex:
@@ -85,6 +89,65 @@ class TestRhoViaFormula:
         for _ in range(100):
             word = tuple(rng.choice(rank5.labels) for _ in range(rng.randint(7, 20)))
             assert rho_via_formula(rank5, word) == word_matrix(rank5, word)
+
+
+def _words_in_report_order(labels, max_len):
+    for k in range(max_len + 1):
+        yield from itertools.product(labels, repeat=k)
+
+
+def _sign_formula_details(g):
+    return [d for check, d in verify_graph(g) if check == "sign-formula"]
+
+
+class TestFormulaAndFold:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_both_sides_match_per_word_oracles(self, rank):
+        for g in enumerate_decorated_graphs(rank):
+            if not admissible_quick(g):
+                continue
+            visited = []
+            for word, formula, fold in formula_and_fold(g, FORMULA_WORD_LENGTH):
+                m = rho_via_formula(g, word)
+                assert formula == (m.perm, m.signs)
+                assert fold == word_matrix(g, word)
+                visited.append(word)
+            # depth-first preorder visits every word once, in label order
+            index = {s: i for i, s in enumerate(g.labels)}
+            assert visited == sorted(visited, key=lambda w: [index[s] for s in w])
+            assert sorted(visited) == sorted(_words_in_report_order(g.labels, 4))
+
+    def test_clean_graph_has_no_mismatches(self, rank5):
+        assert sign_formula_mismatches(rank5, FORMULA_WORD_LENGTH) == []
+
+    def test_swapped_compose_is_caught(self, rank5, monkeypatch):
+        a, b = generator_rho(rank5, "a"), generator_rho(rank5, "b")
+        assert a.compose(b) != b.compose(a)  # non-abelian
+        original = SignedPermutation.compose
+        monkeypatch.setattr(SignedPermutation, "compose", lambda x, y: original(y, x))
+        details = _sign_formula_details(rank5)
+        assert details
+        # the per-word check with the same wrong fold finds the same words,
+        # in the same length-then-lexicographic order
+        assert details == [
+            f"word {w}"
+            for w in _words_in_report_order(rank5.labels, FORMULA_WORD_LENGTH)
+            if rho_via_formula(rank5, w) != word_matrix(rank5, w)
+        ]
+
+    def test_corrupted_generator_sign_is_caught(self, rank5, monkeypatch):
+        def corrupted(g, s):
+            m = generator_rho(g, s)
+            if s != "a":
+                return m
+            signs = list(m.signs)
+            signs[g.labels.index("b")] *= -1
+            return SignedPermutation(m.labels, m.perm, tuple(signs))
+
+        monkeypatch.setattr(rep, "generator_rho", corrupted)
+        details = _sign_formula_details(rank5)
+        assert "word ('a',)" in details
+        assert "word ('b',)" not in details
 
 
 class TestInvariantSubspaces:

@@ -62,6 +62,36 @@ def test_orthogonality(x):
     assert matmul(m, transpose) == SignedPermutation.identity(LABELS).as_matrix()
 
 
+@pytest.mark.parametrize("perm, signs", [
+    ((0, 0, 2), (1, 1, 1)),  # repeated image
+    ((0, 1, 3), (1, 1, 1)),  # image out of range
+    ((0, 1), (1, 1, 1)),  # too short
+    ((0, 1, 2), (1, 0, 1)),  # sign not +-1
+    ((0, 1, 2), (1, -1)),  # too few signs
+])
+def test_public_constructor_validates(perm, signs):
+    with pytest.raises(ValueError):
+        SignedPermutation(LABELS, perm, signs)
+
+
+@pytest.mark.parametrize("perm_map, sign_map", [
+    ({"a": "b", "b": "b", "c": "c"}, {"a": 1, "b": 1, "c": 1}),  # not injective
+    ({"a": "a", "b": "b", "c": "c"}, {"a": 1, "b": 2, "c": 1}),  # sign not +-1
+])
+def test_from_maps_validates(perm_map, sign_map):
+    with pytest.raises(ValueError):
+        SignedPermutation.from_maps(LABELS, perm_map, sign_map)
+
+
+@given(signed_perms(), signed_perms())
+def test_arithmetic_results_equal_validated_construction(x, y):
+    for result in (x.compose(y), x * y, x.inverse()):
+        validated = SignedPermutation(result.labels, result.perm, result.signs)
+        assert result == validated
+        assert hash(result) == hash(validated)
+        assert {result: 1}[validated] == 1
+
+
 def test_label_set_mismatch():
     x = SignedPermutation.identity(("a", "b"))
     y = SignedPermutation.identity(("a", "c"))
