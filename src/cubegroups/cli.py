@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import decompose, formats, graphs, rep
@@ -20,6 +19,7 @@ from .sweep import sweep as run_sweep
 from .errors import (
     CubeGroupError,
     InternalConsistencyError,
+    JobsOutOfRangeError,
     NotACubeGroupError,
     NotADecompositionError,
     ParseError,
@@ -166,11 +166,6 @@ def cmd_from_group(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.jobs <= cpus:
-        print(f"error[usage]: --jobs must be between 1 and {cpus}, got {args.jobs}",
-              file=sys.stderr)
-        return EXIT_USAGE
     report = run_sweep(args.rank, jobs=args.jobs)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
@@ -247,6 +242,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except JobsOutOfRangeError as exc:
+        print(f"error[usage]: --jobs must be between 1 and {exc.cpus}, got {exc.jobs}",
+              file=sys.stderr)
         return EXIT_USAGE
     except InternalConsistencyError as exc:
         print(f"error[internal]: {exc}", file=sys.stderr)

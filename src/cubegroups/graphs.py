@@ -78,6 +78,15 @@ class DecoratedGraph:
             if j[s] != s:
                 raise ValueError(f"involution for {s!r} must fix {s!r}")
 
+    @classmethod
+    def _trusted(cls, labels, involutions) -> "DecoratedGraph":
+        """Construct without validation, for callers that build valid labels
+        and label-fixing involutions by construction (the sweep's enumeration)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "involutions", involutions)
+        return self
+
     @property
     def rank(self) -> int:
         return len(self.labels)
@@ -138,11 +147,8 @@ def trajectory(g: DecoratedGraph, s1: str, s2: str) -> Trajectory:
     _check_label(g.involutions, s2)
     if s1 == s2:
         raise DistinctLabelsRequiredError(s1)
-    terms = [s1, s2]
-    for _ in range(4):
-        terms.append(g.apply(terms[-1], terms[-2]))
-    terms = tuple(terms)
-    if (terms[4], terms[5]) != (s1, s2):
+    terms = _terms(g.involutions, s1, s2)
+    if terms[4:6] != (s1, s2):
         kind = TrajectoryKind.NOT_PERIODIC
     else:
         distinct = len(set(terms[:4]))
@@ -153,6 +159,15 @@ def trajectory(g: DecoratedGraph, s1: str, s2: str) -> Trajectory:
         else:
             kind = TrajectoryKind.FOUR_CYCLE
     return Trajectory((s1, s2), terms, kind)
+
+
+def _terms(inv, s1, s2) -> tuple[str, str, str, str, str, str]:
+    """First six terms of the recurrence, by direct lookups in the involution
+    table `inv`; the seed labels are not checked."""
+    s3 = inv[s2][s1]
+    s4 = inv[s3][s2]
+    s5 = inv[s4][s3]
+    return (s1, s2, s3, s4, s5, inv[s5][s4])
 
 
 def holonomy(g: DecoratedGraph, s1: str, s2: str) -> Permutation:
@@ -167,7 +182,8 @@ def holonomy(g: DecoratedGraph, s1: str, s2: str) -> Permutation:
 
 
 def _period_images(g: DecoratedGraph, period) -> tuple[str, ...]:
-    """Images of the labels, in label order, under the composite along a period."""
+    """Images of the labels, in label order, under the composite along a
+    period (its first four terms)."""
     inv = g.involutions
     j1, j2, j3, j4 = inv[period[0]], inv[period[1]], inv[period[2]], inv[period[3]]
     return tuple([j4[j3[j2[j1[t]]]] for t in g.labels])
@@ -199,14 +215,16 @@ def _failing_seeds(g: DecoratedGraph):
     """Yield ``(seed, witness)`` for each failing seed, in label order.
 
     The witness is None when the trajectory is not 4-periodic, and the
-    nontrivial holonomy otherwise.  Each trajectory is computed once.
+    nontrivial holonomy otherwise.  Each trajectory is computed once; the
+    seeds come from the label set, so their labels need no check.
     """
+    inv = g.involutions
     for u, v in seed_pairs(g):
-        traj = trajectory(g, u, v)
-        if not traj.is_periodic:
+        terms = _terms(inv, u, v)
+        if terms[4:6] != (u, v):
             yield (u, v), None
             continue
-        images = _period_images(g, traj.period)
+        images = _period_images(g, terms)
         if images != g.labels:
             yield (u, v), dict(zip(g.labels, images))
 

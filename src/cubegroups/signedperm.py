@@ -140,6 +140,8 @@ class Perm:
         return self.images == tuple(range(len(self.images)))
 
     def __mul__(self, other: "Perm") -> "Perm":
+        if len(self.images) != len(other.images):
+            raise ValueError(f"degree mismatch: {len(self.images)} vs {len(other.images)}")
         return Perm(tuple(self.images[x] for x in other.images))
 
     def cycles(self) -> list[tuple[int, ...]]:

@@ -4,7 +4,9 @@ verification battery over the admissible population.
 Each label needs an involution of the remaining labels, so the population at
 rank n is I(n-1)^n where I(m) counts involutions on m points.  The sweep runs
 group generation, orbit, reducibility, normal-form, and sign-formula checks on
-every admissible graph and aggregates failures (expected: none).  The
+every admissible graph and aggregates failures (expected: none).
+Enumeration validates the label set once, then builds each graph without
+re-validation: its involutions fix their own label by construction.  The
 sign-formula check covers every word of length <= FORMULA_WORD_LENGTH in one
 depth-first walk of the word tree (`rep.formula_and_fold`), so each word costs
 one matrix product and one flip-count step on top of its parent word.
@@ -13,6 +15,7 @@ one matrix product and one flip-count step on top of its parent word.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,14 +26,18 @@ from .decompose import (
     planar_orderings,
     two_orbit_check,
 )
-from .errors import CubeGroupError, RankCapExceededError, RankTooSmallError
-from .graphs import DecoratedGraph, admissible_quick
+from .errors import CubeGroupError, JobsOutOfRangeError, RankCapExceededError, RankTooSmallError
+from .graphs import DecoratedGraph, admissible_quick, validate_label
 from .group import generate_group
 from .rep import is_reducible, sign_formula_mismatches
 
 # Unused here, but perfbench/layers.py traces both names in this module.
 from .group import word_matrix  # noqa: F401
 from .rep import rho_via_formula  # noqa: F401
+
+# Bound once: perfbench/layers.py replaces the name DecoratedGraph here with a
+# plain function during a traced run.
+_trusted_graph = DecoratedGraph._trusted
 
 RANK_CAP = 5
 DEFAULT_LABELS = "abcdefghijklmnopqrst"
@@ -73,17 +80,25 @@ def _check_rank(rank: int) -> None:
         raise RankCapExceededError(rank, RANK_CAP)
 
 
+def _check_jobs(jobs: int) -> None:
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise JobsOutOfRangeError(jobs, cpus)
+
+
 def enumerate_decorated_graphs(rank: int):
     """Every decorated graph on the first `rank` standard labels, exactly once,
     in deterministic lexicographic order."""
     _check_rank(rank)
     labels = tuple(DEFAULT_LABELS[:rank])
+    for s in labels:
+        validate_label(s)
     per_label = []
     for s in labels:
         others = [t for t in labels if t != s]
         per_label.append([{s: s, **j} for j in involutions_of(others)])
     for combo in itertools.product(*per_label):
-        yield DecoratedGraph(labels, dict(zip(labels, combo)))
+        yield _trusted_graph(labels, dict(zip(labels, combo)))
 
 
 @dataclass
@@ -167,7 +182,9 @@ def sweep(rank: int, jobs: int = 1) -> SweepReport:
     """Enumerate all decorated graphs at a rank and verify every admissible one.
 
     Deterministic regardless of `jobs`: results reduce in enumeration order.
+    `jobs` must lie between 1 and the CPU count.
     """
+    _check_jobs(jobs)
     _check_rank(rank)
     report = SweepReport(rank)
     items = enumerate(enumerate_decorated_graphs(rank))

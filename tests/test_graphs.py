@@ -5,12 +5,15 @@ import pytest
 from cubegroups import graphs
 from cubegroups.errors import (
     DistinctLabelsRequiredError,
+    DuplicateLabelError,
     InternalConsistencyError,
     NotAdmissibleError,
     NotFourPeriodicError,
     UnknownLabelError,
 )
 from cubegroups.graphs import (
+    AdmissibilityFailure,
+    DecoratedGraph,
     Trajectory,
     TrajectoryKind,
     admissible_quick,
@@ -75,6 +78,35 @@ class TestAdmissibility:
 
     def test_rank5_admissible(self, rank5):
         assert is_admissible(rank5).admissible
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_report_matches_unrolled_reference(self, rank):
+        # reference: unroll the recurrence with the public g.apply and compose
+        # the four involutions along the period by hand
+        def reference(g):
+            failures = []
+            for u in g.labels:
+                for v in g.labels:
+                    if u == v:
+                        continue
+                    terms = [u, v]
+                    for _ in range(4):
+                        terms.append(g.apply(terms[-1], terms[-2]))
+                    if terms[4:] != [u, v]:
+                        failures.append(AdmissibilityFailure((u, v), "NotFourPeriodic"))
+                        continue
+                    composite = {}
+                    for t in g.labels:
+                        image = t
+                        for s in terms[:4]:
+                            image = g.apply(s, image)
+                        composite[t] = image
+                    if any(composite[t] != t for t in g.labels):
+                        failures.append(AdmissibilityFailure((u, v), "Holonomy", composite))
+            return tuple(failures)
+
+        for g in enumerate_decorated_graphs(rank):
+            assert is_admissible(g).failures == reference(g)
 
     def test_bad_rank3_fails_with_witness(self, bad_rank3):
         report = is_admissible(bad_rank3)
@@ -203,6 +235,27 @@ def test_restriction_of_invariant_subset(d4):
     sub = d4.restricted({"b", "c"})
     assert sub.labels == ("b", "c")
     assert is_admissible(sub).admissible
+
+
+def _identities(labels, **maps):
+    return {s: maps.get(s, {t: t for t in labels}) for s in labels}
+
+
+@pytest.mark.parametrize(
+    "labels,involutions,error",
+    [
+        (("a", "a"), {"a": {"a": "a"}}, DuplicateLabelError),
+        (("a", "b"), {"a": {"a": "a", "b": "b"}}, ValueError),  # no j_b
+        (("a", "b"), _identities("ab", a={"a": "a"}), ValueError),  # not total
+        (("a", "b"), _identities("ab", a={"a": "a", "b": "a"}), ValueError),  # not onto
+        (("a", "b", "c", "d"),  # a 3-cycle, not an involution
+         _identities("abcd", a={"a": "a", "b": "c", "c": "d", "d": "b"}), ValueError),
+        (("a", "b"), _identities("ab", a={"a": "b", "b": "a"}), ValueError),  # moves a
+    ],
+)
+def test_public_constructor_validates(labels, involutions, error):
+    with pytest.raises(error):
+        DecoratedGraph(labels, involutions)
 
 
 @pytest.mark.parametrize("label", ["", "a b", "a\tb", "a#", "(a", "a)", "a:", 'a"', "a\\"])

@@ -312,6 +312,17 @@ class TestDecoratedGraphFromGroup:
         with pytest.raises(NotInvolutionError):
             decorated_graph_from_group(gens, ("a", "b"))
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_mismatched_degrees(self, swap):
+        # each generator must square to the identity taken from the first one,
+        # so a generator of another degree fails there, before any product of
+        # mismatched degrees is formed
+        gens = [Perm((1, 0)), Perm((0, 1, 3, 2))]
+        if swap:
+            gens.reverse()
+        with pytest.raises(NotInvolutionError, match="'b'"):
+            decorated_graph_from_group(gens, ("a", "b"))
+
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_round_trip(self, rank):
         for g in enumerate_decorated_graphs(rank):

@@ -127,6 +127,12 @@ class TestPerm:
         assert (a * a).is_identity
         assert (a * b).images != (b * a).images  # d4 generators do not commute
 
+    def test_mul_rejects_mismatched_degrees(self):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            Perm((1, 0, 2)) * Perm((0, 1))
+        with pytest.raises(ValueError, match="degree mismatch"):
+            Perm((0, 1)) * Perm((1, 0, 2))
+
     def test_cycles_roundtrip(self):
         p = Perm.from_cycles(5, [(0, 3), (1, 4)])
         assert Perm.from_cycles(5, p.cycles()) == p

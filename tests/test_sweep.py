@@ -1,6 +1,10 @@
+import importlib
+import os
+
 import pytest
 
-from cubegroups.errors import RankCapExceededError, RankTooSmallError
+from cubegroups.errors import JobsOutOfRangeError, RankCapExceededError, RankTooSmallError
+from cubegroups.graphs import DecoratedGraph
 from cubegroups.sweep import (
     enumerate_decorated_graphs,
     involution_count,
@@ -10,6 +14,9 @@ from cubegroups.sweep import (
 )
 
 from conftest import graph_from
+
+# the package re-exports the function `sweep` under the module's name
+sweep_module = importlib.import_module("cubegroups.sweep")
 
 
 def test_involution_count_closed_form():
@@ -44,6 +51,30 @@ def test_population_counts(rank, expected):
     graphs = list(enumerate_decorated_graphs(rank))
     assert len(graphs) == expected
     assert len(set(map(repr, graphs))) == expected  # duplicate-free
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_enumerated_graphs_pass_the_validating_constructor(rank):
+    for g in enumerate_decorated_graphs(rank):
+        assert DecoratedGraph(g.labels, g.involutions) == g
+
+
+def test_enumeration_validates_the_label_set(monkeypatch):
+    monkeypatch.setattr(sweep_module, "DEFAULT_LABELS", "ab#de")
+    graphs = enumerate_decorated_graphs(3)
+    with pytest.raises(ValueError, match="bad label"):
+        next(graphs)
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 2])
+def test_jobs_bounded_before_any_work(monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        pytest.fail("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(JobsOutOfRangeError, match=f"between 1 and 1, got {jobs}"):
+        sweep(3, jobs=jobs)
 
 
 def test_rank_cap():
