@@ -217,6 +217,9 @@ def _closure(generators, labels, mul):
     ident = mul(generators[0], generators[0])
     gen_of = dict(zip(labels, generators))
     for s, gen in gen_of.items():
+        # an oracle that rejects mixed operands raises here (Perm: degree mismatch)
+        if mul(ident, gen) != gen:
+            raise NotACubeGroupError(f"the square of {labels[0]!r} is not an identity for {s!r}")
         if mul(gen, gen) != ident or gen == ident:
             raise NotInvolutionError(s)
     elements = [ident]

@@ -4,8 +4,10 @@ Every group element acts on the ambient coordinate space by a signed
 permutation.  The sign picked up by each basis vector can be read directly off
 a defining word: walking the word letter by letter while tracking the image of
 the target label, the sign flips each time the next letter equals the current
-image.  Orbit blocks of the label action span invariant coordinate subspaces,
-so the representation is reducible whenever there are at least two blocks.
+image.  `sign_formula_mismatches` checks this formula against the matrix fold
+on every word at once, by induction over the generated group.  Orbit blocks
+of the label action span invariant coordinate subspaces, so the
+representation is reducible whenever there are at least two blocks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from .decompose import orbits, perm_image
 from .errors import RankTooSmallError, UnknownLabelError
 from .graphs import DecoratedGraph, require_admissible
-from .group import generator_rho
+from .group import CubeGroup, generator_rho
 from .signedperm import SignedPermutation
 
 
@@ -70,66 +72,53 @@ def rho_via_formula(g: DecoratedGraph, word) -> SignedPermutation:
     return SignedPermutation.from_maps(g.labels, perm, signs)
 
 
-def formula_and_fold(g: DecoratedGraph, max_len: int):
-    """Every word of length <= max_len with its matrix computed two ways.
+def sign_formula_mismatches(G: CubeGroup) -> list[tuple[str, ...]]:
+    """Words whose sign-count formula differs from the matrix fold (expected:
+    none), decided for every word of every length by induction over G.
 
-    Yields ``(word, (perm, signs), fold)`` depth-first over the word tree, a
-    word before its extensions and siblings in label order.  The formula
-    side is the sign-count formula as index tuples: each target keeps its
-    current image and its sign, and the sign flips when the next letter
-    equals the current image.  It uses only the involutions, never
-    `SignedPermutation` arithmetic.  The fold side is the generator matrices
-    multiplied along the word, one `compose` per word on its parent's
-    matrix.  The two sides agree exactly when ``(fold.perm, fold.signs)``
-    equals the formula pair.
+    Appending s to a word is one formula step: each target's image x becomes
+    j_s(x), and its sign flips when x equals s.  From the identity, which
+    must lie in G, G is walked breadth-first: for an element M reached by a
+    word w and each label s, the step on M must equal the fold of w + (s,),
+    ``generator_rho(g, s).compose(M)``, and that product must lie in G;
+    |G|·n steps in all.  This tests that `generator_rho`, `compose` and the
+    involution table agree.  A failed step is reported as w + (s,) and not
+    walked on, so formula and fold differ on every reported word; a missing
+    identity is reported as the empty word.
     """
+    g = G.graph
     labels = g.labels
-    n = len(labels)
-    index = {s: i for i, s in enumerate(labels)}
-    involution = [tuple(index[g.involutions[s][t]] for t in labels) for s in labels]
+    involution = [tuple(labels.index(g.involutions[s][t]) for t in labels) for s in labels]
     rho = [generator_rho(g, s) for s in labels]
-    stack = [((), tuple(range(n)), (1,) * n, SignedPermutation.identity(labels))]
-    while stack:
-        word, images, signs, fold = stack.pop()
-        yield word, (images, signs), fold
-        if len(word) == max_len:
-            continue
-        for k in reversed(range(n)):
+    identity = SignedPermutation.identity(labels)
+    if identity not in G.index_of:
+        return [()]
+    seen = {G.index_of[identity]}
+    queue = [(identity, ())]  # (fold of the word, word)
+    bad = []
+    for m, word in queue:
+        for k, s in enumerate(labels):
             j = involution[k]
-            stack.append((
-                word + (labels[k],),
-                tuple(j[x] for x in images),
-                tuple(-e if x == k else e for e, x in zip(signs, images)),
-                rho[k].compose(fold),
-            ))
-
-
-def sign_formula_mismatches(g: DecoratedGraph, max_len: int) -> list[tuple[str, ...]]:
-    """Words of length <= max_len whose formula matrix differs from the fold
-    (expected: none), shortest first, then lexicographic in label order."""
-    bad = [w for w, formula, fold in formula_and_fold(g, max_len)
-           if formula != (fold.perm, fold.signs)]
-    index = {s: i for i, s in enumerate(g.labels)}
-    return sorted(bad, key=lambda w: (len(w), [index[s] for s in w]))
+            step = (tuple(j[x] for x in m.perm),
+                    tuple(-v if x == k else v for v, x in zip(m.signs, m.perm)))
+            product = rho[k].compose(m)
+            kept = G.index_of.get(product)
+            if kept is None or step != (product.perm, product.signs):
+                bad.append(word + (s,))
+            elif kept not in seen:
+                seen.add(kept)
+                queue.append((product, word + (s,)))
+    return bad
 
 
 def invariant_coordinate_subspaces(g: DecoratedGraph) -> list[frozenset[str]]:
     """Orbit blocks of the label action; each spans an invariant subspace.
 
-    Verified: every generator matrix permutes each block's coordinates among
-    themselves.
+    Each j_s maps every orbit into itself, so each generator matrix permutes
+    a block's coordinates among themselves.
     """
     require_admissible(g)
-    blocks = list(orbits(g).blocks)
-    for s in g.labels:
-        m = generator_rho(g, s)
-        for block in blocks:
-            image = {m.image_label(t) for t in block}
-            if image != block:
-                raise AssertionError(
-                    f"orbit block {sorted(block)} not preserved by generator {s}"
-                )
-    return blocks
+    return list(orbits(g).blocks)
 
 
 def is_reducible(g: DecoratedGraph) -> bool:

@@ -7,9 +7,10 @@ group generation, orbit, reducibility, normal-form, and sign-formula checks on
 every admissible graph and aggregates failures (expected: none).
 Enumeration validates the label set once, then builds each graph without
 re-validation: its involutions fix their own label by construction.  The
-sign-formula check covers every word of length <= FORMULA_WORD_LENGTH in one
-depth-first walk of the word tree (`rep.formula_and_fold`), so each word costs
-one matrix product and one flip-count step on top of its parent word.
+sign-formula check runs over the group that group generation already built
+(`rep.sign_formula_mismatches`): one formula step per element and letter
+proves, by induction on word length, that the formula equals the matrix fold
+on every word.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ _trusted_graph = DecoratedGraph._trusted
 RANK_CAP = 5
 DEFAULT_LABELS = "abcdefghijklmnopqrst"
 PLANAR_REORDER_RANK_CAP = 3  # check every planar re-ordering up to this rank
-FORMULA_WORD_LENGTH = 4
 
 
 def involutions_of(points) -> list[dict[str, str]]:
@@ -88,7 +88,8 @@ def _check_jobs(jobs: int) -> None:
 
 def enumerate_decorated_graphs(rank: int):
     """Every decorated graph on the first `rank` standard labels, exactly once,
-    in deterministic lexicographic order."""
+    in deterministic lexicographic order.  Each graph owns its involution
+    dicts: no two yielded graphs share a mapping object."""
     _check_rank(rank)
     labels = tuple(DEFAULT_LABELS[:rank])
     for s in labels:
@@ -98,7 +99,7 @@ def enumerate_decorated_graphs(rank: int):
         others = [t for t in labels if t != s]
         per_label.append([{s: s, **j} for j in involutions_of(others)])
     for combo in itertools.product(*per_label):
-        yield _trusted_graph(labels, dict(zip(labels, combo)))
+        yield _trusted_graph(labels, dict(zip(labels, map(dict.copy, combo))))
 
 
 @dataclass
@@ -130,10 +131,9 @@ def verify_graph(g: DecoratedGraph) -> list[tuple[str, str]]:
     """Run the full battery on one admissible graph; returns (check, detail)
     failures, empty on success.
 
-    The sign-formula check walks the word tree once, comparing the closed
-    formula with the matrix fold on every word of length <=
-    FORMULA_WORD_LENGTH; mismatches are reported shortest word first, then
-    lexicographically in label order.
+    The sign-formula check compares the closed formula with the matrix fold
+    on every word of every length, by induction over the generated group;
+    each mismatch is reported as ``("sign-formula", "word (...)")``.
     """
     failures = []
     n = g.rank
@@ -165,7 +165,7 @@ def verify_graph(g: DecoratedGraph) -> list[tuple[str, str]]:
             normal_form(G, ordering)
         except CubeGroupError as exc:
             failures.append(("normal-form", f"{ordering}: {exc}"))
-    for word in sign_formula_mismatches(g, FORMULA_WORD_LENGTH):
+    for word in sign_formula_mismatches(G):
         failures.append(("sign-formula", f"word {word}"))
     return failures
 

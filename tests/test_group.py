@@ -314,14 +314,24 @@ class TestDecoratedGraphFromGroup:
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_mismatched_degrees(self, swap):
-        # each generator must square to the identity taken from the first one,
-        # so a generator of another degree fails there, before any product of
-        # mismatched degrees is formed
+        # both generators are involutions: the error names the degrees
         gens = [Perm((1, 0)), Perm((0, 1, 3, 2))]
+        degrees = "2 vs 4"
         if swap:
             gens.reverse()
-        with pytest.raises(NotInvolutionError, match="'b'"):
+            degrees = "4 vs 2"
+        with pytest.raises(ValueError, match=f"degree mismatch: {degrees}"):
             decorated_graph_from_group(gens, ("a", "b"))
+
+    def test_first_square_not_an_identity(self):
+        # an oracle that pads mixed degrees multiplies them without error
+        def padded(x, y):
+            n = max(len(x), len(y))
+            x, y = (t + tuple(range(len(t), n)) for t in (x, y))
+            return tuple(x[i] for i in y)
+
+        with pytest.raises(NotACubeGroupError, match="square of 'a' is not an identity for 'b'"):
+            decorated_graph_from_group([(0, 1, 3, 2), (1, 0)], ("a", "b"), padded)
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_round_trip(self, rank):

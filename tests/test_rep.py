@@ -1,15 +1,15 @@
+import ast
 import itertools
 import random
 
 import pytest
 
-from cubegroups import rep
+from cubegroups import group, rep
 from cubegroups.errors import RankTooSmallError, UnknownLabelError
 from cubegroups.graphs import admissible_quick
 from cubegroups.group import generate_group, generator_rho, word_matrix
 from cubegroups.rep import (
     embed_vertex,
-    formula_and_fold,
     invariant_coordinate_subspaces,
     is_reducible,
     rho_via_formula,
@@ -17,7 +17,7 @@ from cubegroups.rep import (
     sign_formula_mismatches,
 )
 from cubegroups.signedperm import SignedPermutation
-from cubegroups.sweep import FORMULA_WORD_LENGTH, enumerate_decorated_graphs, verify_graph
+from cubegroups.sweep import enumerate_decorated_graphs, verify_graph
 
 
 class TestEmbedVertex:
@@ -91,13 +91,12 @@ class TestRhoViaFormula:
             assert rho_via_formula(rank5, word) == word_matrix(rank5, word)
 
 
-def _words_in_report_order(labels, max_len):
-    for k in range(max_len + 1):
-        yield from itertools.product(labels, repeat=k)
-
-
-def _sign_formula_details(g):
-    return [d for check, d in verify_graph(g) if check == "sign-formula"]
+def _sign_formula_words(g):
+    return [
+        ast.literal_eval(d.removeprefix("word "))
+        for check, d in verify_graph(g)
+        if check == "sign-formula"
+    ]
 
 
 class TestFormulaAndFold:
@@ -106,34 +105,25 @@ class TestFormulaAndFold:
         for g in enumerate_decorated_graphs(rank):
             if not admissible_quick(g):
                 continue
-            visited = []
-            for word, formula, fold in formula_and_fold(g, FORMULA_WORD_LENGTH):
-                m = rho_via_formula(g, word)
-                assert formula == (m.perm, m.signs)
-                assert fold == word_matrix(g, word)
-                visited.append(word)
-            # depth-first preorder visits every word once, in label order
-            index = {s: i for i, s in enumerate(g.labels)}
-            assert visited == sorted(visited, key=lambda w: [index[s] for s in w])
-            assert sorted(visited) == sorted(_words_in_report_order(g.labels, 4))
+            G = generate_group(g)
+            assert sign_formula_mismatches(G) == []
+            for e in G.elements:
+                assert rho_via_formula(g, e.word) == e.matrix == word_matrix(g, e.word)
 
     def test_clean_graph_has_no_mismatches(self, rank5):
-        assert sign_formula_mismatches(rank5, FORMULA_WORD_LENGTH) == []
+        assert sign_formula_mismatches(generate_group(rank5)) == []
 
     def test_swapped_compose_is_caught(self, rank5, monkeypatch):
         a, b = generator_rho(rank5, "a"), generator_rho(rank5, "b")
         assert a.compose(b) != b.compose(a)  # non-abelian
         original = SignedPermutation.compose
         monkeypatch.setattr(SignedPermutation, "compose", lambda x, y: original(y, x))
-        details = _sign_formula_details(rank5)
-        assert details
-        # the per-word check with the same wrong fold finds the same words,
-        # in the same length-then-lexicographic order
-        assert details == [
-            f"word {w}"
-            for w in _words_in_report_order(rank5.labels, FORMULA_WORD_LENGTH)
-            if rho_via_formula(rank5, w) != word_matrix(rank5, w)
-        ]
+        words = _sign_formula_words(rank5)
+        assert words
+        # each reported word is a real witness: the formula differs from the
+        # fold computed with the same wrong product
+        for w in words:
+            assert rho_via_formula(rank5, w) != word_matrix(rank5, w)
 
     def test_corrupted_generator_sign_is_caught(self, rank5, monkeypatch):
         def corrupted(g, s):
@@ -145,9 +135,26 @@ class TestFormulaAndFold:
             return SignedPermutation(m.labels, m.perm, tuple(signs))
 
         monkeypatch.setattr(rep, "generator_rho", corrupted)
-        details = _sign_formula_details(rank5)
-        assert "word ('a',)" in details
-        assert "word ('b',)" not in details
+        words = _sign_formula_words(rank5)
+        assert ("a",) in words
+        assert ("b",) not in words
+        monkeypatch.setattr(group, "generator_rho", corrupted)  # word_matrix folds it too
+        for w in words:
+            assert "a" in w
+            assert rho_via_formula(rank5, w) != word_matrix(rank5, w)
+
+    def test_product_outside_the_group_is_caught(self, d4):
+        G = generate_group(d4)
+        a = generator_rho(d4, "a")
+        del G.index_of[a]
+        words = sign_formula_mismatches(G)
+        assert words[0] == ("a",)
+        assert all(word_matrix(d4, w) == a for w in words)
+
+    def test_missing_identity_is_the_empty_word(self, d4):
+        G = generate_group(d4)
+        del G.index_of[SignedPermutation.identity(d4.labels)]
+        assert sign_formula_mismatches(G) == [()]
 
 
 class TestInvariantSubspaces:

@@ -59,6 +59,17 @@ def test_enumerated_graphs_pass_the_validating_constructor(rank):
         assert DecoratedGraph(g.labels, g.involutions) == g
 
 
+def test_enumerated_graphs_share_no_mapping():
+    graphs = list(enumerate_decorated_graphs(3))
+    maps = [j for g in graphs for j in g.involutions.values()]
+    maps += [g.involutions for g in graphs]
+    assert len({id(m) for m in maps}) == len(maps)
+    before = [repr(g) for g in graphs[1:]]
+    j = graphs[0].involutions["a"]
+    j["b"], j["c"] = j["c"], j["b"]
+    assert [repr(g) for g in graphs[1:]] == before
+
+
 def test_enumeration_validates_the_label_set(monkeypatch):
     monkeypatch.setattr(sweep_module, "DEFAULT_LABELS", "ab#de")
     graphs = enumerate_decorated_graphs(3)
