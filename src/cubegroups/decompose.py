@@ -20,7 +20,6 @@ from .errors import (
 )
 from .graphs import DecoratedGraph, Permutation, require_admissible
 from .group import CubeGroup, GroupElement
-from .signedperm import SignedPermutation
 
 
 def perm_image(g: DecoratedGraph, word) -> Permutation:
@@ -149,27 +148,31 @@ class NormalForm:
 def normal_form(G: CubeGroup, ordering) -> NormalForm:
     """Tabulate all 2^n products s1^m1 ... sn^mn and verify they are distinct.
 
+    Each product is a walk from the identity in the right multiplication
+    table ``G.step``, one factor at a time along the ordering.  Extending each
+    prefix by 0, then 1 yields the bit vectors in ``itertools.product`` order.
     The table itself is the verification: a collision raises
-    NotADecompositionError with the two offending bit vectors.
+    NotADecompositionError with the earlier and the later bit vector.
     """
     ordering = tuple(ordering)
     if sorted(ordering) != sorted(G.graph.labels):
         raise UnknownLabelError(ordering)
-    from .group import generator_rho
-
-    rho = {s: generator_rho(G.graph, s) for s in ordering}
+    pos = {s: k for k, s in enumerate(G.graph.labels)}
+    step = G.step
+    walks = [((), 0)]  # (bits so far, index of the product so far)
+    for k in [pos[s] for s in ordering]:
+        longer = []
+        for bits, i in walks:
+            longer.append((bits + (0,), i))
+            longer.append((bits + (1,), step[i][k]))
+        walks = longer
     to_element = {}
     from_element = {}
-    for bits in itertools.product((0, 1), repeat=len(ordering)):
-        m = SignedPermutation.identity(G.graph.labels)
-        for s, mi in zip(ordering, bits):
-            if mi:
-                m = m.compose(rho[s])  # rightmost factor applied first
-        elem = G.element_for_matrix(m)
-        if elem.index in from_element:
-            raise NotADecompositionError(ordering, (from_element[elem.index], bits))
-        to_element[bits] = elem
-        from_element[elem.index] = bits
+    for bits, i in walks:
+        if i in from_element:
+            raise NotADecompositionError(ordering, (from_element[i], bits))
+        to_element[bits] = G.elements[i]
+        from_element[i] = bits
     return NormalForm(ordering, to_element, from_element)
 
 

@@ -54,7 +54,9 @@ class DecoratedGraph:
 
     ``involutions[s]`` is a total self-map of the label set, stored as a dict.
     The label order is significant: it fixes basis order, serialization order,
-    and the deterministic order of every sweep.
+    and the deterministic order of every sweep.  The constructor validates
+    and keeps its own copy of each involution dict, so mutating the dicts
+    passed to it leaves the graph unchanged.
     """
 
     labels: tuple[str, ...]
@@ -67,6 +69,9 @@ class DecoratedGraph:
             if s in seen:
                 raise DuplicateLabelError(s)
             seen.add(s)
+        object.__setattr__(
+            self, "involutions", {s: dict(j) for s, j in self.involutions.items()}
+        )
         if set(self.involutions) != seen:
             raise ValueError("involutions must be keyed by exactly the label set")
         for s, j in self.involutions.items():

@@ -11,8 +11,8 @@ distance 1.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     ClosureSizeMismatchError,
@@ -145,13 +145,20 @@ class GroupElement:
 
 @dataclass
 class CubeGroup:
-    """A generated cube group with its Cayley graph and vertex indexing."""
+    """A generated cube group with its Cayley graph and vertex indexing.
+
+    ``step`` is the group's right multiplication: ``step[i][k]`` is the index
+    of ``elements[i] * rho(labels[k])``, the Cayley neighbour of i along
+    ``labels[k]``.  ``coords[i]`` is element i's cube coordinate bitmask.
+    """
 
     graph: DecoratedGraph
     elements: list[GroupElement]
     index_of: dict[SignedPermutation, int]
     cayley: LabeledGraph
-    subsets: list[frozenset[str]]  # element index -> vertex subset T
+    step: list[tuple[int, ...]]
+    coords: list[int]
+    bit_label: dict[int, str]
 
     @property
     def rank(self) -> int:
@@ -161,11 +168,31 @@ class CubeGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def subsets(self) -> list[frozenset[str]]:
+        """Element index -> vertex subset T: the labels of its coordinate bits."""
+        return [
+            frozenset(s for bit, s in self.bit_label.items() if c & bit) for c in self.coords
+        ]
+
+    @cached_property
+    def _label_index(self) -> dict[str, int]:
+        return {s: k for k, s in enumerate(self.graph.labels)}
+
     def element_for_matrix(self, m: SignedPermutation) -> GroupElement:
         return self.elements[self.index_of[m]]
 
     def element_for_word(self, word) -> GroupElement:
-        return self.element_for_matrix(word_matrix(self.graph, word))
+        """The element of a word in applied-first order: a walk from the
+        identity taking the letters last to first, as right factors."""
+        word = tuple(word)
+        pos, step, i = self._label_index, self.step, 0
+        try:
+            for s in reversed(word):
+                i = step[i][pos[s]]
+        except KeyError:
+            raise UnknownLabelError(next(s for s in word if s not in pos)) from None
+        return self.elements[i]
 
     def multiply(self, i: int, k: int) -> int:
         return self.index_of[self.elements[i].matrix.compose(self.elements[k].matrix)]
@@ -181,7 +208,7 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     if n > RANK_CAP:
         raise RankCapExceededError(n, RANK_CAP)
     rho = [generator_rho(g, s) for s in g.labels]
-    matrices, index_of, words, edges = _closure(rho, g.labels, SignedPermutation.compose)
+    matrices, index_of, words, edges, step = _closure(rho, g.labels, SignedPermutation.compose)
     if len(matrices) != 2 ** n:
         raise ClosureSizeMismatchError(2 ** n, len(matrices))
     elements = [GroupElement(i, m, w) for i, (m, w) in enumerate(zip(matrices, words))]
@@ -193,22 +220,22 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
         )
     # each coordinate bit is the generator labeling the identity's edge along it
     bit_label = {cube.coords[v]: s for u, v, s in cayley.edges if u == 0}
-    subsets = [
-        frozenset(s for bit, s in bit_label.items() if cube.coords[e.index] & bit)
-        for e in elements
-    ]
-    return CubeGroup(g, elements, index_of, cayley, subsets)
+    coords = [cube.coords[i] for i in range(len(elements))]
+    return CubeGroup(g, elements, index_of, cayley, step, coords, bit_label)
 
 
 def _closure(generators, labels, mul):
     """BFS closure of labeled involutive generators.
 
-    Returns ``(elements, index_of, words, edges)``: the elements in discovery
-    order (identity first, then label order), the element -> index map, a
-    shortest generator word per element (applied-first order, element k is
-    ``mul(elements[i], generator s)`` with word ``(s,) + words[i]``), and the
-    sorted ``(u, v, label)`` Cayley edges with u < v.  `generators` are
-    hashable values; the identity is obtained by squaring the first one.
+    Returns ``(elements, index_of, words, edges, step)``: the elements in
+    discovery order (identity first, then label order), the element -> index
+    map, a shortest generator word per element (applied-first order, element
+    k is ``mul(elements[i], generator s)`` with word ``(s,) + words[i]``), the
+    sorted ``(u, v, label)`` Cayley edges with u < v, and the right
+    multiplication table: ``step[i][k]`` is the index of
+    ``mul(elements[i], generators[k])``.  `generators` are hashable values;
+    the identity is obtained by squaring the first one.  Each table column
+    must pair the elements (an involution without fixed points).
     """
     if not generators:
         raise RankTooSmallError(0, 1)
@@ -222,24 +249,33 @@ def _closure(generators, labels, mul):
             raise NotACubeGroupError(f"the square of {labels[0]!r} is not an identity for {s!r}")
         if mul(gen, gen) != ident or gen == ident:
             raise NotInvolutionError(s)
+    gens = [gen_of[s] for s in labels]
     elements = [ident]
     index_of = {ident: 0}
     words = [()]
-    edges = set()
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for s in labels:
-            m = mul(elements[i], gen_of[s])
-            k = index_of.get(m)
+    step = []
+    for i, m in enumerate(elements):  # the list grows while it is walked
+        row = []
+        for s, gen in zip(labels, gens):
+            p = mul(m, gen)
+            k = index_of.get(p)
             if k is None:
                 k = len(elements)
-                elements.append(m)
-                index_of[m] = k
+                elements.append(p)
+                index_of[p] = k
                 words.append((s,) + words[i])
-                queue.append(k)
-            edges.add((min(i, k), max(i, k), s))
-    return elements, index_of, words, tuple(sorted(edges))
+            row.append(k)
+        step.append(tuple(row))
+    edges = []
+    for i, row in enumerate(step):
+        for k, j in enumerate(row):
+            if j == i or step[j][k] != i:
+                raise NotACubeGroupError(
+                    f"right multiplication by {labels[k]!r} is not a fixed-point-free involution"
+                )
+            if i < j:
+                edges.append((i, j, labels[k]))
+    return elements, index_of, words, tuple(sorted(edges)), step
 
 
 def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> DecoratedGraph:
@@ -256,12 +292,12 @@ def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> De
     generators = list(generators)
     if len(generators) != len(labels):
         raise ValueError("one generator per label required")
-    elements, _, _, edges = _closure(generators, labels, mul)
-    if len(elements) != 2 ** len(labels):
-        raise NotACubeGroupError(
-            f"closure has order {len(elements)}, expected {2 ** len(labels)}"
-        )
-    cayley = LabeledGraph(tuple(range(len(elements))), edges)
+    elements, _, _, edges, _ = _closure(generators, labels, mul)
+    order = len(elements)
+    del elements, _  # freed before the Cayley-graph checks, where this path peaks in memory
+    if order != 2 ** len(labels):
+        raise NotACubeGroupError(f"closure has order {order}, expected {2 ** len(labels)}")
+    cayley = LabeledGraph(tuple(range(order)), edges)
     cube = is_hypercube(cayley)
     if not cube:
         raise NotACubeGroupError(cube.reason)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import LabelSetMismatchError, UnknownLabelError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SignedPermutation:
     labels: tuple[str, ...]
     perm: tuple[int, ...]   # perm[i] = index of the image of basis label i
@@ -24,6 +24,15 @@ class SignedPermutation:
             raise ValueError("perm is not a permutation of the label indices")
         if len(self.signs) != n or any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be +1/-1, one per label")
+
+    def __eq__(self, other):
+        if not isinstance(other, SignedPermutation):
+            return NotImplemented
+        return (self.perm == other.perm and self.signs == other.signs
+                and self.labels == other.labels)
+
+    def __hash__(self):  # leaves out the labels, which one group's elements share
+        return hash((self.perm, self.signs))
 
     @classmethod
     def identity(cls, labels) -> "SignedPermutation":
@@ -57,11 +66,15 @@ class SignedPermutation:
     def compose(self, other: "SignedPermutation") -> "SignedPermutation":
         """self after other: basis label t goes to sign_other(t)*sign_self(p_other(t))
         on label p_self(p_other(t))."""
-        if self.labels != other.labels:
-            raise LabelSetMismatchError(self.labels, other.labels)
-        perm = tuple(self.perm[p] for p in other.perm)
-        signs = tuple(o * self.signs[p] for o, p in zip(other.signs, other.perm))
-        return SignedPermutation._trusted(self.labels, perm, signs)
+        labels = self.labels
+        if other.labels is not labels and other.labels != labels:
+            raise LabelSetMismatchError(labels, other.labels)
+        own_perm, own_signs, perm = self.perm, self.signs, other.perm
+        return SignedPermutation._trusted(
+            labels,
+            tuple([own_perm[p] for p in perm]),
+            tuple([o * own_signs[p] for o, p in zip(other.signs, perm)]),
+        )
 
     __mul__ = compose
 

@@ -1,17 +1,33 @@
-"""The traced benchmark patches library names listed in perfbench/layers.py;
-every one of them must exist, or a traced run fails with an AttributeError."""
+"""The benchmark under perfbench/, loaded read-only.
+
+The traced benchmark patches library names listed in perfbench/layers.py;
+every one of them must exist, or a traced run fails with an AttributeError.
+And one pass of each workload must pass the workload's own output checks, so
+a broken query or normal-form path fails here too.
+"""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_layers", Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
-)
-layers = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(layers)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+layers = _load("layers")
+with mock.patch.dict(sys.modules, {"inputs": _load("inputs")}):  # workloads.py imports it
+    workloads = _load("workloads")
 
 
 @pytest.mark.parametrize(
@@ -25,3 +41,14 @@ def test_traced_name_resolves(path, attr):
     if cls:
         owner = getattr(owner, cls)
     assert callable(getattr(owner, attr))
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_one_pass_passes_its_checks(name):
+    lib = SimpleNamespace(**{m: importlib.import_module(f"cubegroups.{m}") for m in layers.MODULES})
+    workload = workloads.WORKLOADS[name](lib, 1)
+    _, output = workload.run()
+    checks = workloads.Checks()
+    workload.check(output, checks)
+    assert checks.attempted > 0
+    assert checks.failed == 0, checks.messages

@@ -184,6 +184,64 @@ class TestNormalForm:
                 assert len(nf.to_element) == 2 ** rank
 
 
+def fold_normal_form(G, ordering):
+    """Reference tabulation by matrix folds: each product s1^m1 ... sn^mn is
+    composed from the generator matrices and looked up in the group.
+
+    Returns ``(to_element, from_element, collision)``; on the first bit vector
+    in product order that reaches an element already reached, the tables are
+    None and `collision` holds the earlier bit vector and that one.
+    """
+    rho = {s: generator_rho(G.graph, s) for s in ordering}
+    to_element = {}
+    from_element = {}
+    for bits in itertools.product((0, 1), repeat=len(ordering)):
+        m = SignedPermutation.identity(G.graph.labels)
+        for s, mi in zip(ordering, bits):
+            if mi:
+                m = m.compose(rho[s])  # rightmost factor applied first
+        elem = G.element_for_matrix(m)
+        if elem.index in from_element:
+            return None, None, (from_element[elem.index], bits)
+        to_element[bits] = elem
+        from_element[elem.index] = bits
+    return to_element, from_element, None
+
+
+class TestNormalFormAgainstFolds:
+    """The table walk agrees with the matrix-fold tabulation, collisions included."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_every_ordering(self, rank):
+        collisions = 0
+        for g in enumerate_decorated_graphs(rank):
+            if not admissible_quick(g):
+                continue
+            G = generate_group(g)
+            planar = set(planar_orderings(orbit_tree(g)))
+            assert decomposition_ordering(orbit_tree(g)) in planar
+            for ordering in itertools.permutations(g.labels):
+                to_element, from_element, collision = fold_normal_form(G, ordering)
+                if collision is None:
+                    nf = normal_form(G, ordering)
+                    assert nf.to_element == to_element
+                    assert nf.from_element == from_element
+                else:
+                    assert ordering not in planar
+                    collisions += 1
+                    with pytest.raises(NotADecompositionError) as exc:
+                        normal_form(G, ordering)
+                    assert exc.value.collision == collision
+        assert collisions > 0 or rank < 3
+
+    def test_d4_collision_pair(self, d4):
+        G = generate_group(d4)
+        _, _, collision = fold_normal_form(G, ("b", "a", "c"))
+        with pytest.raises(NotADecompositionError) as exc:
+            normal_form(G, ("b", "a", "c"))
+        assert exc.value.collision == collision == ((0, 1, 1), (1, 1, 0))  # ac = ba
+
+
 class TestProductDecomposition:
     @pytest.mark.parametrize("rank", [2, 3])
     def test_unique_factorization_over_invariant_subsets(self, rank):

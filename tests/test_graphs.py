@@ -258,6 +258,15 @@ def test_public_constructor_validates(labels, involutions, error):
         DecoratedGraph(labels, involutions)
 
 
+def test_public_constructor_copies_the_involutions():
+    inv = _identities("ab")
+    g = DecoratedGraph(("a", "b"), inv)
+    inv["a"].update(a="b", b="a")
+    inv["b"] = {"a": "b", "b": "a"}
+    assert g.involutions == _identities("ab")
+    assert is_admissible(g).admissible
+
+
 @pytest.mark.parametrize("label", ["", "a b", "a\tb", "a#", "(a", "a)", "a:", 'a"', "a\\"])
 def test_bad_labels_rejected(label):
     with pytest.raises(ValueError, match="bad label"):

@@ -257,6 +257,63 @@ class TestGenerateGroup:
         assert bac == rho["a"]
 
 
+def admissible_groups(rank):
+    for g in enumerate_decorated_graphs(rank):
+        if admissible_quick(g):
+            yield g, generate_group(g)
+
+
+class TestCayleyTable:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_step_is_right_multiplication_by_an_involution(self, rank):
+        for g, G in admissible_groups(rank):
+            rho = [generator_rho(g, s) for s in g.labels]
+            for i, e in enumerate(G.elements):
+                for k in range(rank):
+                    j = G.step[i][k]
+                    assert j == G.index_of[e.matrix.compose(rho[k])]
+                    assert G.step[j][k] == i
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_edges_are_the_table(self, rank):
+        for g, G in admissible_groups(rank):
+            from_table = {
+                (min(i, j), max(i, j), s)
+                for i, row in enumerate(G.step)
+                for j, s in zip(row, g.labels)
+            }
+            assert G.cayley.edges == tuple(sorted(from_table))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_word_queries_match_the_matrix_fold(self, rank):
+        rng = random.Random(rank)
+        for g, G in admissible_groups(rank):
+            words = [()] + [
+                tuple(rng.choice(g.labels) for _ in range(rng.randrange(1, 3 * rank + 2)))
+                for _ in range(30)
+            ]
+            for w in words:
+                assert G.element_for_word(w) == G.element_for_matrix(word_matrix(g, w)), w
+
+    def test_word_query_accepts_any_iterable(self, d4):
+        G = generate_group(d4)
+        assert G.element_for_word(iter("bac")) == G.element_for_word(("b", "a", "c"))
+
+    def test_unknown_letter_in_word_query(self, d4):
+        G = generate_group(d4)
+        with pytest.raises(UnknownLabelError) as exc:
+            G.element_for_word(("a", "z", "b", "y"))
+        assert exc.value.label == "z"  # the first unknown letter, as word_matrix reports
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_subsets_are_the_negated_coordinates(self, rank):
+        for g, G in admissible_groups(rank):
+            for e in G.elements:
+                m = e.matrix
+                negated = {g.labels[m.perm[i]] for i, v in enumerate(m.signs) if v == -1}
+                assert G.subsets[e.index] == negated
+
+
 class TestStandardSubgroup:
     def test_d4_bc_is_square(self, d4):
         sub = standard_subgroup(generate_group(d4), ["b", "c"])
@@ -332,6 +389,21 @@ class TestDecoratedGraphFromGroup:
 
         with pytest.raises(NotACubeGroupError, match="square of 'a' is not an identity for 'b'"):
             decorated_graph_from_group([(0, 1, 3, 2), (1, 0)], ("a", "b"), padded)
+
+    @pytest.mark.parametrize("product, reason", [
+        ((3, 1, 0), "not a fixed-point-free involution"),  # 3·a = 0, but 0·a = 1
+        ((3, 2, 3), "not a fixed-point-free involution"),  # 3·b = 3
+    ], ids=["not-involutive", "fixed-point"])
+    def test_right_multiplication_must_pair_the_elements(self, product, reason):
+        # A magma on {0, 1, 2, 3} that agrees with the Klein group except at
+        # one product; read from the lower endpoints alone its Cayley graph
+        # would still be a square.
+        table = {(0, 1): 1, (0, 2): 2, (1, 1): 0, (1, 2): 3, (2, 1): 3, (2, 2): 0,
+                 (3, 1): 2, (3, 2): 1}
+        x, y, z = product
+        table[x, y] = z
+        with pytest.raises(NotACubeGroupError, match=reason):
+            decorated_graph_from_group([1, 2], ("a", "b"), lambda u, v: table[u, v])
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_round_trip(self, rank):

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -90,6 +93,52 @@ def test_arithmetic_results_equal_validated_construction(x, y):
         assert result == validated
         assert hash(result) == hash(validated)
         assert {result: 1}[validated] == 1
+
+
+def copied(x, labels=None):
+    """The same signed permutation built anew from fresh, equal tuples."""
+    labels = tuple(list(x.labels)) if labels is None else labels
+    return SignedPermutation(labels, tuple(list(x.perm)), tuple(list(x.signs)))
+
+
+@given(signed_perms(("a", "b")), signed_perms(("a", "b")))
+def test_equal_values_hash_equal(x, y):
+    assert x == copied(x)
+    assert hash(x) == hash(copied(x))
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@given(signed_perms())
+def test_labels_take_part_in_equality(x):
+    other = copied(x, ("x", "y", "z"))
+    assert x != other
+    assert x != (x.labels, x.perm, x.signs)
+    assert x.__eq__((x.labels, x.perm, x.signs)) is NotImplemented
+
+
+@given(signed_perms(), signed_perms(("x", "y", "z")))
+def test_compose_across_label_sets_raises(x, y):
+    with pytest.raises(LabelSetMismatchError):
+        x.compose(y)
+    with pytest.raises(LabelSetMismatchError):
+        y * x
+
+
+@given(signed_perms(), signed_perms())
+def test_compose_over_equal_label_tuples(x, y):
+    # equal label sets held in distinct tuple objects compose as one
+    result = x.compose(copied(y))
+    assert result == x.compose(y) == copied(result)
+
+
+@given(signed_perms())
+def test_pickle_round_trip(x):
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x
+    assert hash(y) == hash(x)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        y.perm = x.perm
 
 
 def test_label_set_mismatch():
