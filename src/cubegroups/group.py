@@ -1,11 +1,11 @@
 """Group generation, hypercube recognition, and decorated-graph extraction.
 
 An admissible decorated graph of rank n generates a group of 2^n signed
-permutations (the geometric images of the group elements).  The labeled Cayley
-graph of that closure must be the 1-skeleton of the n-cube; `is_hypercube`
-certifies this directly by assigning each vertex a bitmask in {0,1}^n
-breadth-first from one vertex and checking adjacency against Hamming
-distance 1.
+permutations (the geometric images of the group elements).  The closure's
+right-multiplication table is its labeled Cayley graph, which must be the
+1-skeleton of the n-cube; one certificate checks this on the table by
+assigning each vertex a bitmask in {0,1}^n breadth-first and checking
+adjacency against Hamming distance 1.
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ class LabeledGraph:
             adj[v].add(u)
         return adj
 
-    def label_at(self) -> dict[frozenset, str]:
-        return {frozenset((u, v)): l for u, v, l in self.edges}
-
 
 @dataclass(frozen=True)
 class HypercubeResult:
@@ -75,34 +72,38 @@ class HypercubeResult:
 
 
 def is_hypercube(lg: LabeledGraph) -> HypercubeResult:
-    """Decide whether a simple graph is the 1-skeleton of a cube.
+    """Decide whether a simple graph is the 1-skeleton of a cube: the cube
+    certificate with each vertex's neighbours in sorted order."""
+    adj = lg.adjacency()
+    return _cube_certificate(lg.vertices, {v: sorted(ws) for v, ws in adj.items()})
 
-    The first vertex gets coordinate 0 and its i-th neighbour, in sorted
-    order, bit i; breadth-first, every later vertex gets the OR of its
-    neighbours' coordinates in the previous layer.  On a cube this
-    reconstructs an isomorphism onto {0,1}^n.  The graph passes when every
-    vertex is reached, the coordinate map is a bijection onto {0,1}^n, and
-    each vertex's neighbours are exactly its Hamming-distance-1 coordinates.
-    That final check certifies the isomorphism outright.  Linear in the
-    number of edges.
+
+def _cube_certificate(verts, rows) -> HypercubeResult:
+    """The cube certificate for neighbour rows ``rows[v]`` (a Cayley table is one).
+
+    The first vertex gets coordinate 0 and its i-th neighbour, in row order,
+    bit i; breadth-first, every later vertex gets the OR of its neighbours'
+    coordinates in the previous layer.  On a cube this reconstructs an
+    isomorphism onto {0,1}^n.  The graph passes when every vertex is reached,
+    the coordinate map is a bijection onto {0,1}^n, and each vertex's
+    neighbours are exactly its Hamming-distance-1 coordinates.  That final
+    check certifies the isomorphism outright.  Linear in the number of edges.
     """
-    verts = lg.vertices
     if not verts:
         return HypercubeResult(False, reason="empty graph")
-    adj = lg.adjacency()
     base = verts[0]
-    n = len(adj[base])
+    n = len(rows[base])
     if len(verts) != 2 ** n:
         return HypercubeResult(
             False, reason=f"{len(verts)} vertices but the first has degree {n} (need 2^{n})"
         )
     coords = {base: 0}
-    layer = sorted(adj[base])
+    layer = rows[base]
     coords.update((v, 1 << i) for i, v in enumerate(layer))
     while layer:
         nxt = {}
         for u in layer:
-            for w in adj[u]:
+            for w in rows[u]:
                 if w not in coords:
                     nxt[w] = nxt.get(w, 0) | coords[u]
         coords.update(nxt)
@@ -112,7 +113,7 @@ def is_hypercube(lg: LabeledGraph) -> HypercubeResult:
     if len(set(coords.values())) != 2 ** n:
         return HypercubeResult(False, reason="coordinate map is not a bijection")
     for u in verts:
-        if {coords[v] for v in adj[u]} != {coords[u] ^ (1 << c) for c in range(n)}:
+        if {coords[v] for v in rows[u]} != {coords[u] ^ (1 << c) for c in range(n)}:
             return HypercubeResult(False, reason=f"vertex {u} lacks Hamming-1 neighborhood")
     return HypercubeResult(True, dimension=n, coords=coords)
 
@@ -147,18 +148,17 @@ class GroupElement:
 class CubeGroup:
     """A generated cube group with its Cayley graph and vertex indexing.
 
-    ``step`` is the group's right multiplication: ``step[i][k]`` is the index
-    of ``elements[i] * rho(labels[k])``, the Cayley neighbour of i along
-    ``labels[k]``.  ``coords[i]`` is element i's cube coordinate bitmask.
+    ``step`` is the group's right multiplication and its labeled Cayley
+    graph: ``step[i][k]`` is the index of ``elements[i] * rho(labels[k])``,
+    the Cayley neighbour of i along ``labels[k]``.  ``coords[i]`` is element
+    i's cube coordinate bitmask, whose bit k is ``labels[k]``.
     """
 
     graph: DecoratedGraph
     elements: list[GroupElement]
     index_of: dict[SignedPermutation, int]
-    cayley: LabeledGraph
     step: list[tuple[int, ...]]
     coords: list[int]
-    bit_label: dict[int, str]
 
     @property
     def rank(self) -> int:
@@ -171,9 +171,17 @@ class CubeGroup:
     @cached_property
     def subsets(self) -> list[frozenset[str]]:
         """Element index -> vertex subset T: the labels of its coordinate bits."""
-        return [
-            frozenset(s for bit, s in self.bit_label.items() if c & bit) for c in self.coords
-        ]
+        labels = self.graph.labels
+        return [frozenset(s for k, s in enumerate(labels) if c >> k & 1) for c in self.coords]
+
+    @cached_property
+    def cayley(self) -> LabeledGraph:
+        """The Cayley graph as an edge list, built from ``step`` on first use."""
+        labels = self.graph.labels
+        edges = sorted(
+            (i, j, labels[k]) for i, row in enumerate(self.step) for k, j in enumerate(row) if i < j
+        )
+        return LabeledGraph(tuple(range(self.order)), tuple(edges))
 
     @cached_property
     def _label_index(self) -> dict[str, int]:
@@ -208,34 +216,32 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     if n > RANK_CAP:
         raise RankCapExceededError(n, RANK_CAP)
     rho = [generator_rho(g, s) for s in g.labels]
-    matrices, index_of, words, edges, step = _closure(rho, g.labels, SignedPermutation.compose)
+    matrices, index_of, words, step = _closure(rho, g.labels, SignedPermutation.compose)
     if len(matrices) != 2 ** n:
         raise ClosureSizeMismatchError(2 ** n, len(matrices))
-    elements = [GroupElement(i, m, w) for i, (m, w) in enumerate(zip(matrices, words))]
-    cayley = LabeledGraph(tuple(range(len(elements))), edges)
-    cube = is_hypercube(cayley)
+    # row 0 of the table is in label order, so coordinate bit k is labels[k]
+    cube = _cube_certificate(range(len(matrices)), step)
     if not cube:
         raise InternalConsistencyError(
             f"Cayley graph of an admissible graph failed the cube check: {cube.reason}"
         )
-    # each coordinate bit is the generator labeling the identity's edge along it
-    bit_label = {cube.coords[v]: s for u, v, s in cayley.edges if u == 0}
+    elements = [GroupElement(i, m, w) for i, (m, w) in enumerate(zip(matrices, words))]
     coords = [cube.coords[i] for i in range(len(elements))]
-    return CubeGroup(g, elements, index_of, cayley, step, coords, bit_label)
+    return CubeGroup(g, elements, index_of, step, coords)
 
 
 def _closure(generators, labels, mul):
     """BFS closure of labeled involutive generators.
 
-    Returns ``(elements, index_of, words, edges, step)``: the elements in
-    discovery order (identity first, then label order), the element -> index
-    map, a shortest generator word per element (applied-first order, element
-    k is ``mul(elements[i], generator s)`` with word ``(s,) + words[i]``), the
-    sorted ``(u, v, label)`` Cayley edges with u < v, and the right
-    multiplication table: ``step[i][k]`` is the index of
-    ``mul(elements[i], generators[k])``.  `generators` are hashable values;
-    the identity is obtained by squaring the first one.  Each table column
-    must pair the elements (an involution without fixed points).
+    Returns ``(elements, index_of, words, step)``: the elements in discovery
+    order (identity first, then label order), the element -> index map, a
+    shortest generator word per element (applied-first order, element k is
+    ``mul(elements[i], generator s)`` with word ``(s,) + words[i]``), and the
+    right multiplication table, which is the labeled Cayley graph:
+    ``step[i][k]`` is the index of ``mul(elements[i], generators[k])``.
+    `generators` are hashable values; the identity is obtained by squaring
+    the first one.  Each table column must pair the elements (an involution
+    without fixed points).
     """
     if not generators:
         raise RankTooSmallError(0, 1)
@@ -266,16 +272,13 @@ def _closure(generators, labels, mul):
                 words.append((s,) + words[i])
             row.append(k)
         step.append(tuple(row))
-    edges = []
     for i, row in enumerate(step):
         for k, j in enumerate(row):
             if j == i or step[j][k] != i:
                 raise NotACubeGroupError(
                     f"right multiplication by {labels[k]!r} is not a fixed-point-free involution"
                 )
-            if i < j:
-                edges.append((i, j, labels[k]))
-    return elements, index_of, words, tuple(sorted(edges)), step
+    return elements, index_of, words, step
 
 
 def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> DecoratedGraph:
@@ -283,29 +286,23 @@ def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> De
 
     Works with any multiplication oracle over hashable, equality-comparable
     elements.  The group is generated explicitly, its order must be 2^n, its
-    labeled Cayley graph is certified as a cube, and each involution j_s is
-    read off the unique 4-cycle at the identity through each pair of
-    generator edges: a cyclic label reading (t1, t2, t3, t4) contributes
-    j_{t2}(t1) = t3 in both directions.
+    Cayley graph (the closure's multiplication table) is certified as a
+    cube, and each involution j_s is read off the unique 4-cycle at the
+    identity through each pair of generator edges: a cyclic label reading
+    (t1, t2, t3, t4) contributes j_{t2}(t1) = t3 in both directions.
     """
     labels = tuple(labels)
     generators = list(generators)
     if len(generators) != len(labels):
         raise ValueError("one generator per label required")
-    elements, _, _, edges, _ = _closure(generators, labels, mul)
+    elements, _, _, step = _closure(generators, labels, mul)
     order = len(elements)
-    del elements, _  # freed before the Cayley-graph checks, where this path peaks in memory
+    del elements, _  # only the table is read from here on; freeing the rest lowers the peak
     if order != 2 ** len(labels):
         raise NotACubeGroupError(f"closure has order {order}, expected {2 ** len(labels)}")
-    cayley = LabeledGraph(tuple(range(order)), edges)
-    cube = is_hypercube(cayley)
+    cube = _cube_certificate(range(order), step)
     if not cube:
         raise NotACubeGroupError(cube.reason)
-    adj = cayley.adjacency()
-    label_at = cayley.label_at()
-    gen_vertex = {}
-    for v in adj[0]:
-        gen_vertex[label_at[frozenset((0, v))]] = v
 
     assignments = {s: {s: s} for s in labels}
 
@@ -315,18 +312,14 @@ def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> De
             if j.setdefault(a, b) != b:
                 raise IllDefinedInvolutionError(s, f"j_{s}({a}) read as both {j[a]} and {b}")
 
-    for s1, s2 in itertools.combinations(labels, 2):
-        g1, g2 = gen_vertex[s1], gen_vertex[s2]
-        across = (adj[g1] & adj[g2]) - {0}
+    for (k1, s1), (k2, s2) in itertools.combinations(enumerate(labels), 2):
+        g1, g2 = step[0][k1], step[0][k2]
+        across = (set(step[g1]) & set(step[g2])) - {0}
         if len(across) != 1:
             raise IllDefinedInvolutionError(s1, f"no unique 4-cycle through edges {s1},{s2}")
         x = across.pop()
-        reading = (
-            s1,
-            label_at[frozenset((g1, x))],
-            label_at[frozenset((x, g2))],
-            s2,
-        )
+        # a certified cube has no parallel edges, so each edge has one label
+        reading = (s1, labels[step[g1].index(x)], labels[step[x].index(g2)], s2)
         for i in range(4):
             record(reading[(i + 1) % 4], reading[i], reading[(i + 2) % 4])
     for s in labels:
@@ -350,11 +343,15 @@ def standard_subgroup(G: CubeGroup, subset) -> CubeGroup:
     The subset's generator matrices go through `decorated_graph_from_group`,
     and the extracted graph is generated as a cube group.  Raises
     NotStandardError with that function's evidence when the closure has the
-    wrong order or its Cayley graph fails the cube check.
+    wrong order or its Cayley graph fails the cube check, and
+    RankTooSmallError for an empty subset.
     """
-    T = [s for s in G.graph.labels if s in set(subset)]
-    if not T or set(subset) - set(G.graph.labels):
-        raise UnknownLabelError(sorted(set(subset) - set(G.graph.labels)) or subset)
+    subset = set(subset)
+    if not subset:
+        raise RankTooSmallError(0, 1)
+    T = [s for s in G.graph.labels if s in subset]
+    if len(T) != len(subset):
+        raise UnknownLabelError(sorted(subset.difference(T)))
     gens = [generator_rho(G.graph, t) for t in T]
     try:
         sub_graph = decorated_graph_from_group(gens, T, SignedPermutation.compose)

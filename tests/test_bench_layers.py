@@ -3,11 +3,15 @@
 The traced benchmark patches library names listed in perfbench/layers.py;
 every one of them must exist, or a traced run fails with an AttributeError.
 And one pass of each workload must pass the workload's own output checks, so
-a broken query or normal-form path fails here too.
+a broken query or normal-form path fails here too.  One short traced run must
+report the closure's counters, so a return value the tracer's hooks can no
+longer read fails here as well.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -52,3 +56,17 @@ def test_one_pass_passes_its_checks(name):
     workload.check(output, checks)
     assert checks.attempted > 0
     assert checks.failed == 0, checks.messages
+
+
+def test_traced_run_counts_the_closure():
+    """One short traced run: the tracer's result hooks read the library's
+    return values, so a changed return shape fails here."""
+    argv = ["--workload", "reverse-r11", "--seed", "1", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), *argv],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"]
+    metrics = result["metrics"]
+    assert metrics["group._closure.calls"]["value"] > 0
+    assert metrics["group.elements"]["value"] > 0

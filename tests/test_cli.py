@@ -171,6 +171,13 @@ class TestFromGroup:
         assert main(["from-group", str(path)]) == 1
         assert "NotACubeGroup" in capsys.readouterr().out
 
+    def test_order_eight_group_not_a_cube_rejected(self, tmp_path, capsys):
+        # the dihedral group of order 2^3 on three involutions: not a cube
+        path = tmp_path / "dih8-3.pg"
+        path.write_text("a = (1 3)\nb = (1 2)(3 4)\nc = (1 3)(2 4)\n")
+        assert main(["from-group", str(path)]) == 1
+        assert "NotACubeGroup:" in capsys.readouterr().out
+
 
 class TestEnumerate:
     def test_rank3(self, capsys):

@@ -8,6 +8,7 @@ from cubegroups.errors import (
     NotAdmissibleError,
     NotInvolutionError,
     NotStandardError,
+    RankTooSmallError,
     UnknownLabelError,
 )
 from cubegroups.graphs import admissible_quick, seed_pairs, trajectory
@@ -306,6 +307,13 @@ class TestCayleyTable:
         assert exc.value.label == "z"  # the first unknown letter, as word_matrix reports
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_edge_list_certifies_like_the_table(self, rank):
+        for g, G in admissible_groups(rank):
+            assert "cayley" not in vars(G)  # the edge list is built on first use only
+            cube = is_hypercube(G.cayley)
+            assert [cube.coords[i] for i in range(G.order)] == G.coords
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_subsets_are_the_negated_coordinates(self, rank):
         for g, G in admissible_groups(rank):
             for e in G.elements:
@@ -334,6 +342,14 @@ class TestStandardSubgroup:
     def test_unknown_label(self, d4):
         with pytest.raises(UnknownLabelError):
             standard_subgroup(generate_group(d4), ["z"])
+
+    def test_subset_is_read_once(self, d4):
+        sub = standard_subgroup(generate_group(d4), iter(["b", "c"]))
+        assert sub.graph.labels == ("b", "c")
+
+    def test_empty_subset(self, d4):
+        with pytest.raises(RankTooSmallError):
+            standard_subgroup(generate_group(d4), [])
 
 
 class TestDecoratedGraphFromGroup:
@@ -404,6 +420,28 @@ class TestDecoratedGraphFromGroup:
         table[x, y] = z
         with pytest.raises(NotACubeGroupError, match=reason):
             decorated_graph_from_group([1, 2], ("a", "b"), lambda u, v: table[u, v])
+
+    def test_parallel_cayley_edges(self):
+        # Z2^3 numbered in closure order (e, a, b, c, ab, ac, bc, abc), with
+        # the c column replaced: every column still pairs the elements, but
+        # a and c both pair 2 with 4 and 6 with 7
+        columns = {1: [(0, 1), (2, 4), (3, 5), (6, 7)],
+                   2: [(0, 2), (1, 4), (3, 6), (5, 7)],
+                   3: [(0, 3), (1, 5), (2, 4), (6, 7)]}
+        table = {(x, g): y for g, pairs in columns.items() for p in pairs for x, y in (p, p[::-1])}
+        with pytest.raises(NotACubeGroupError, match="coordinate map is not a bijection"):
+            decorated_graph_from_group([1, 2, 3], ("a", "b", "c"), lambda u, v: table[u, v])
+
+    def test_order_eight_group_whose_cayley_graph_is_not_a_cube(self):
+        # (1 3), (1 2)(3 4) and (1 3)(2 4) generate the dihedral group of
+        # order 8 = 2^3, but its Cayley graph on them is not the 3-cube
+        gens = [
+            Perm.from_cycles(4, [(0, 2)]),
+            Perm.from_cycles(4, [(0, 1), (2, 3)]),
+            Perm.from_cycles(4, [(0, 2), (1, 3)]),
+        ]
+        with pytest.raises(NotACubeGroupError, match="coordinate map is not a bijection"):
+            decorated_graph_from_group(gens, ("a", "b", "c"))
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_round_trip(self, rank):
