@@ -100,23 +100,9 @@ def _orbit_tree(g: DecoratedGraph) -> OrbitTree:
     return OrbitTree(frozenset(g.labels), children)
 
 
-def decomposition_ordering(tree: OrbitTree, child_order=None) -> tuple[str, ...]:
-    """Left-to-right leaf order; `child_order` optionally permutes the children
-    of each node (a planar re-ordering), keyed by the node's frozen label set."""
-    if child_order is None:
-        return tree.leaf_labels()
-
-    def walk(node):
-        if node.is_leaf:
-            (label,) = node.labels
-            return (label,)
-        children = node.children
-        perm = child_order.get(node.labels)
-        if perm is not None:
-            children = tuple(children[i] for i in perm)
-        return tuple(s for child in children for s in walk(child))
-
-    return walk(tree)
+def decomposition_ordering(tree: OrbitTree) -> tuple[str, ...]:
+    """Left-to-right leaf order of the orbit tree."""
+    return tree.leaf_labels()
 
 
 def planar_orderings(tree: OrbitTree):
@@ -152,12 +138,20 @@ def normal_form(G: CubeGroup, ordering) -> NormalForm:
     table ``G.step``, one factor at a time along the ordering.  Extending each
     prefix by 0, then 1 yields the bit vectors in ``itertools.product`` order.
     The table itself is the verification: a collision raises
-    NotADecompositionError with the earlier and the later bit vector.
+    NotADecompositionError with the earlier and the later bit vector.  An
+    ordering with a letter outside the labels raises UnknownLabelError for
+    that letter; one that misses or repeats a label raises ValueError.
     """
     ordering = tuple(ordering)
-    if sorted(ordering) != sorted(G.graph.labels):
-        raise UnknownLabelError(ordering)
     pos = {s: k for k, s in enumerate(G.graph.labels)}
+    for s in ordering:
+        if s not in pos:
+            raise UnknownLabelError(s)
+    missing = [s for s in pos if s not in ordering]
+    repeated = sorted({s for s in ordering if ordering.count(s) > 1})
+    if missing or repeated:
+        raise ValueError(
+            f"ordering must list each label once: missing {missing}, repeated {repeated}")
     step = G.step
     walks = [((), 0)]  # (bits so far, index of the product so far)
     for k in [pos[s] for s in ordering]:

@@ -91,13 +91,6 @@ class InternalConsistencyError(CubeGroupError):
     """A structural guarantee failed; indicates a bug, never expected for valid inputs."""
 
 
-class ClosureSizeMismatchError(InternalConsistencyError):
-    def __init__(self, expected, actual):
-        super().__init__(f"generated group has order {actual}, expected {expected}")
-        self.expected = expected
-        self.actual = actual
-
-
 class IllDefinedInvolutionError(InternalConsistencyError):
     def __init__(self, label, detail):
         super().__init__(f"conflicting involution readings for {label!r}: {detail}")

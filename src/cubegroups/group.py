@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
-    ClosureSizeMismatchError,
     IllDefinedInvolutionError,
     InternalConsistencyError,
     NotACubeGroupError,
@@ -210,38 +209,43 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     """Breadth-first closure of the generator matrices, with hypercube certification.
 
     Deterministic label-order BFS gives reproducible shortest witness words.
+    An admissible graph always generates a cube group, so a closure that is
+    not one raises InternalConsistencyError with the closure's reason.
     """
     require_admissible(g)
     n = g.rank
     if n > RANK_CAP:
         raise RankCapExceededError(n, RANK_CAP)
     rho = [generator_rho(g, s) for s in g.labels]
-    matrices, index_of, words, step = _closure(rho, g.labels, SignedPermutation.compose)
-    if len(matrices) != 2 ** n:
-        raise ClosureSizeMismatchError(2 ** n, len(matrices))
-    # row 0 of the table is in label order, so coordinate bit k is labels[k]
-    cube = _cube_certificate(range(len(matrices)), step)
-    if not cube:
+    try:
+        matrices, index_of, words, step, coords = _closure(
+            rho, g.labels, SignedPermutation.compose)
+    except NotACubeGroupError as exc:
         raise InternalConsistencyError(
-            f"Cayley graph of an admissible graph failed the cube check: {cube.reason}"
-        )
+            f"an admissible graph did not generate a cube group: {exc.reason}"
+        ) from exc
     elements = [GroupElement(i, m, w) for i, (m, w) in enumerate(zip(matrices, words))]
-    coords = [cube.coords[i] for i in range(len(elements))]
     return CubeGroup(g, elements, index_of, step, coords)
 
 
 def _closure(generators, labels, mul):
-    """BFS closure of labeled involutive generators.
+    """BFS closure of n labeled involutive generators, certified as a cube group.
 
-    Returns ``(elements, index_of, words, step)``: the elements in discovery
-    order (identity first, then label order), the element -> index map, a
-    shortest generator word per element (applied-first order, element k is
-    ``mul(elements[i], generator s)`` with word ``(s,) + words[i]``), and the
-    right multiplication table, which is the labeled Cayley graph:
-    ``step[i][k]`` is the index of ``mul(elements[i], generators[k])``.
+    Returns ``(elements, index_of, words, step, coords)``: the elements in
+    discovery order (identity first, then label order), the element -> index
+    map, a shortest generator word per element (applied-first order, element
+    k is ``mul(elements[i], generator s)`` with word ``(s,) + words[i]``), the
+    right multiplication table, which is the labeled Cayley graph
+    (``step[i][k]`` is the index of ``mul(elements[i], generators[k])``), and
+    each element's cube coordinate bitmask, whose bit k is ``labels[k]``.
     `generators` are hashable values; the identity is obtained by squaring
-    the first one.  Each table column must pair the elements (an involution
-    without fixed points).
+    the first one.
+
+    Raises NotACubeGroupError unless the closure is a cube group.  The walk
+    stops as soon as it finds element 2^n + 1, so it makes at most
+    n·2^n + 2n + 1 products.  The closure must not end short of 2^n, each
+    table column must pair the elements (an involution without fixed
+    points), and the table must pass the cube certificate.
     """
     if not generators:
         raise RankTooSmallError(0, 1)
@@ -256,6 +260,7 @@ def _closure(generators, labels, mul):
         if mul(gen, gen) != ident or gen == ident:
             raise NotInvolutionError(s)
     gens = [gen_of[s] for s in labels]
+    order = 2 ** len(labels)
     elements = [ident]
     index_of = {ident: 0}
     words = [()]
@@ -267,42 +272,47 @@ def _closure(generators, labels, mul):
             k = index_of.get(p)
             if k is None:
                 k = len(elements)
+                if k == order:
+                    raise NotACubeGroupError(f"closure has more than {order} elements")
                 elements.append(p)
                 index_of[p] = k
                 words.append((s,) + words[i])
             row.append(k)
         step.append(tuple(row))
+    if len(elements) != order:
+        raise NotACubeGroupError(f"closure has {len(elements)} elements, expected {order}")
     for i, row in enumerate(step):
         for k, j in enumerate(row):
             if j == i or step[j][k] != i:
                 raise NotACubeGroupError(
                     f"right multiplication by {labels[k]!r} is not a fixed-point-free involution"
                 )
-    return elements, index_of, words, step
+    # row 0 of the table is in label order, so coordinate bit k is labels[k]
+    cube = _cube_certificate(range(order), step)
+    if not cube:
+        raise NotACubeGroupError(cube.reason)
+    return elements, index_of, words, step, [cube.coords[i] for i in range(order)]
 
 
 def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> DecoratedGraph:
     """Extract the decorated graph from involutive generators of a cube group.
 
     Works with any multiplication oracle over hashable, equality-comparable
-    elements.  The group is generated explicitly, its order must be 2^n, its
-    Cayley graph (the closure's multiplication table) is certified as a
-    cube, and each involution j_s is read off the unique 4-cycle at the
-    identity through each pair of generator edges: a cyclic label reading
-    (t1, t2, t3, t4) contributes j_{t2}(t1) = t3 in both directions.
+    elements.  More than RANK_CAP generators are rejected before any product
+    is made.  The closure generates the group and certifies it as a cube
+    group, stopping past 2^n elements; only its multiplication table (the
+    Cayley graph) is read here.  Each involution j_s is read off the unique
+    4-cycle at the identity through each pair of generator edges: a cyclic
+    label reading (t1, t2, t3, t4) contributes j_{t2}(t1) = t3 in both
+    directions.
     """
     labels = tuple(labels)
     generators = list(generators)
     if len(generators) != len(labels):
         raise ValueError("one generator per label required")
-    elements, _, _, step = _closure(generators, labels, mul)
-    order = len(elements)
-    del elements, _  # only the table is read from here on; freeing the rest lowers the peak
-    if order != 2 ** len(labels):
-        raise NotACubeGroupError(f"closure has order {order}, expected {2 ** len(labels)}")
-    cube = _cube_certificate(range(order), step)
-    if not cube:
-        raise NotACubeGroupError(cube.reason)
+    if len(labels) > RANK_CAP:
+        raise RankCapExceededError(len(labels), RANK_CAP)
+    step = _closure(generators, labels, mul)[3]
 
     assignments = {s: {s: s} for s in labels}
 

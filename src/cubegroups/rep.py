@@ -5,7 +5,8 @@ permutation.  The sign picked up by each basis vector can be read directly off
 a defining word: walking the word letter by letter while tracking the image of
 the target label, the sign flips each time the next letter equals the current
 image.  `sign_formula_mismatches` checks this formula against the matrix fold
-on every word at once, by induction over the generated group.  Orbit blocks
+on every word at once, by induction over the multiplication table the
+closure built with the group (one step per element and letter).  Orbit blocks
 of the label action span invariant coordinate subspaces, so the
 representation is reducible whenever there are at least two blocks.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from .decompose import orbits, perm_image
 from .errors import RankTooSmallError, UnknownLabelError
 from .graphs import DecoratedGraph, require_admissible
-from .group import CubeGroup, generator_rho
+from .group import CubeGroup
 from .signedperm import SignedPermutation
 
 
@@ -74,40 +75,42 @@ def rho_via_formula(g: DecoratedGraph, word) -> SignedPermutation:
 
 def sign_formula_mismatches(G: CubeGroup) -> list[tuple[str, ...]]:
     """Words whose sign-count formula differs from the matrix fold (expected:
-    none), decided for every word of every length by induction over G.
+    none), decided for every word of every length by induction over G's
+    multiplication table.
 
-    Appending s to a word is one formula step: each target's image x becomes
-    j_s(x), and its sign flips when x equals s.  From the identity, which
-    must lie in G, G is walked breadth-first: for an element M reached by a
-    word w and each label s, the step on M must equal the fold of w + (s,),
-    ``generator_rho(g, s).compose(M)``, and that product must lie in G;
-    |G|·n steps in all.  This tests that `generator_rho`, `compose` and the
-    involution table agree.  A failed step is reported as w + (s,) and not
-    walked on, so formula and fold differ on every reported word; a missing
-    identity is reported as the empty word.
+    Prepending s to a word is one formula step: target t takes the image and
+    sign of j_s(t), and its sign flips when t equals s.  The closure made
+    element ``G.step[i][k]`` as the fold of ``(s,) + w`` from element i, the
+    fold of w (s = labels[k]).  So once element 0 is the identity, the fold
+    of the empty word, checking the step on ``elements[i].matrix`` against
+    ``elements[G.step[i][k]].matrix`` for every i and k covers every word;
+    |G|·n steps in all.  This tests that the generator matrices, the
+    product that built the table and the involution table agree.  The table
+    is walked breadth-first from element 0 with one word per element; a
+    failed step is reported as (s,) + w and not walked on, so formula and
+    fold differ on every reported word.  A non-identity element 0 is
+    reported as the empty word.
     """
     g = G.graph
     labels = g.labels
     involution = [tuple(labels.index(g.involutions[s][t]) for t in labels) for s in labels]
-    rho = [generator_rho(g, s) for s in labels]
-    identity = SignedPermutation.identity(labels)
-    if identity not in G.index_of:
+    matrices = [e.matrix for e in G.elements]
+    if not matrices[0].is_identity:
         return [()]
-    seen = {G.index_of[identity]}
-    queue = [(identity, ())]  # (fold of the word, word)
+    words = {0: ()}  # element index -> the word it was reached by
+    queue = [0]
     bad = []
-    for m, word in queue:
-        for k, s in enumerate(labels):
-            j = involution[k]
-            step = (tuple(j[x] for x in m.perm),
-                    tuple(-v if x == k else v for v, x in zip(m.signs, m.perm)))
-            product = rho[k].compose(m)
-            kept = G.index_of.get(product)
-            if kept is None or step != (product.perm, product.signs):
-                bad.append(word + (s,))
-            elif kept not in seen:
-                seen.add(kept)
-                queue.append((product, word + (s,)))
+    for i in queue:  # the list grows while it is walked
+        m, word = matrices[i], words[i]
+        for k, (s, j) in enumerate(zip(labels, G.step[i])):
+            image = involution[k]
+            step = (tuple(m.perm[x] for x in image),
+                    tuple(-m.signs[x] if t == k else m.signs[x] for t, x in enumerate(image)))
+            if step != (matrices[j].perm, matrices[j].signs):
+                bad.append((s,) + word)
+            elif j not in words:
+                words[j] = (s,) + word
+                queue.append(j)
     return bad
 
 

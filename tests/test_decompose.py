@@ -124,11 +124,6 @@ class TestDecompositionOrdering:
     def test_single_leaf(self, rank1):
         assert decomposition_ordering(orbit_tree(rank1)) == ("a",)
 
-    def test_child_permutation(self, d4):
-        tree = orbit_tree(d4)
-        reordered = decomposition_ordering(tree, {frozenset("abc"): (1, 0)})
-        assert reordered == ("b", "c", "a")
-
     def test_planar_orderings_d4(self, d4):
         order_set = set(planar_orderings(orbit_tree(d4)))
         assert order_set == {
@@ -170,8 +165,21 @@ class TestNormalForm:
 
     def test_rejects_non_permutation_ordering(self, d4):
         G = generate_group(d4)
-        with pytest.raises(UnknownLabelError):
+        with pytest.raises(ValueError, match=r"missing \['c'\], repeated \[\]"):
             normal_form(G, ("a", "b"))
+
+    def test_repeated_label_in_ordering(self, d4):
+        G = generate_group(d4)
+        with pytest.raises(ValueError, match=r"missing \['c'\], repeated \['b'\]"):
+            normal_form(G, ("a", "b", "b"))
+        with pytest.raises(ValueError, match=r"missing \[\], repeated \['a'\]"):
+            normal_form(G, ("a", "b", "c", "a"))
+
+    def test_unknown_letter_in_ordering(self, d4):
+        G = generate_group(d4)
+        with pytest.raises(UnknownLabelError) as exc:
+            normal_form(G, ("a", "z", "b", "c"))
+        assert exc.value.label == "z"
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_every_planar_ordering_works(self, rank):

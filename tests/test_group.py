@@ -8,6 +8,7 @@ from cubegroups.errors import (
     NotAdmissibleError,
     NotInvolutionError,
     NotStandardError,
+    RankCapExceededError,
     RankTooSmallError,
     UnknownLabelError,
 )
@@ -331,7 +332,7 @@ class TestStandardSubgroup:
     def test_d4_ab_not_standard(self, d4):
         with pytest.raises(NotStandardError) as exc:
             standard_subgroup(generate_group(d4), ["a", "b"])
-        assert "order 8" in str(exc.value)
+        assert "closure has more than 4 elements" in str(exc.value)
 
     def test_full_set_is_standard(self, rank5):
         G = generate_group(rank5)
@@ -378,7 +379,46 @@ class TestDecoratedGraphFromGroup:
         gens = [Perm.from_cycles(4, [(0, 2)]), Perm.from_cycles(4, [(0, 1), (2, 3)])]
         with pytest.raises(NotACubeGroupError) as exc:
             decorated_graph_from_group(gens, ("a", "b"))
-        assert "order 8" in str(exc.value)
+        assert "closure has more than 4 elements" in str(exc.value)
+
+    @pytest.mark.parametrize("m", [5, 6, 7, 8])
+    def test_closure_stops_past_two_to_the_n(self, m):
+        # two reflections of the m-gon (their product is an m-cycle) and the
+        # transposition (0 1) generate the symmetric group S_m
+        gens = [
+            Perm(tuple(-i % m for i in range(m))),
+            Perm(tuple((1 - i) % m for i in range(m))),
+            Perm.from_cycles(m, [(0, 1)]),
+        ]
+        products = 0
+
+        def mul(x, y):
+            nonlocal products
+            products += 1
+            return x * y
+
+        with pytest.raises(NotACubeGroupError, match="closure has more than 8 elements"):
+            decorated_graph_from_group(gens, ("a", "b", "c"), mul)
+        n = 3
+        assert products <= n * 2 ** n + 2 * n + 1
+
+    def test_closure_short_of_two_to_the_n(self):
+        # three distinct involutions of the Klein four-group close up at 4 < 2^3
+        gens = [
+            Perm.from_cycles(4, [(0, 1), (2, 3)]),
+            Perm.from_cycles(4, [(0, 2), (1, 3)]),
+            Perm.from_cycles(4, [(0, 3), (1, 2)]),
+        ]
+        with pytest.raises(NotACubeGroupError, match="closure has 4 elements, expected 8"):
+            decorated_graph_from_group(gens, ("a", "b", "c"))
+
+    def test_rank_cap_before_any_product(self):
+        def mul(x, y):
+            raise AssertionError("no product may be made past the rank cap")
+
+        labels = tuple("abcdefghijklmnopqrstu")
+        with pytest.raises(RankCapExceededError):
+            decorated_graph_from_group(range(len(labels)), labels, mul)
 
     def test_rejects_non_involution(self):
         gens = [Perm.from_cycles(3, [(0, 1)]), Perm((1, 2, 0))]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cubegroups import group, rep
+from cubegroups import group
 from cubegroups.errors import RankTooSmallError, UnknownLabelError
 from cubegroups.graphs import admissible_quick
 from cubegroups.group import generate_group, generator_rho, word_matrix
@@ -18,6 +18,8 @@ from cubegroups.rep import (
 )
 from cubegroups.signedperm import SignedPermutation
 from cubegroups.sweep import enumerate_decorated_graphs, verify_graph
+
+from conftest import graph_from
 
 
 class TestEmbedVertex:
@@ -125,35 +127,49 @@ class TestFormulaAndFold:
         for w in words:
             assert rho_via_formula(rank5, w) != word_matrix(rank5, w)
 
-    def test_corrupted_generator_sign_is_caught(self, rank5, monkeypatch):
+    @staticmethod
+    def _corrupt_a_at(label):
+        """generator_rho with an extra -1 on `label` in the matrix of a."""
         def corrupted(g, s):
             m = generator_rho(g, s)
             if s != "a":
                 return m
             signs = list(m.signs)
-            signs[g.labels.index("b")] *= -1
+            signs[g.labels.index(label)] *= -1
             return SignedPermutation(m.labels, m.perm, tuple(signs))
 
-        monkeypatch.setattr(rep, "generator_rho", corrupted)
-        words = _sign_formula_words(rank5)
+        return corrupted
+
+    def test_corrupted_generator_sign_is_caught(self, monkeypatch):
+        # with every involution the identity, rho_a with -1 at a and b still
+        # generates a cube group (diagonal matrices), so the table is built
+        g = graph_from("abc")
+        # the closure and word_matrix both fold the corrupted matrix
+        monkeypatch.setattr(group, "generator_rho", self._corrupt_a_at("b"))
+        words = _sign_formula_words(g)
         assert ("a",) in words
         assert ("b",) not in words
-        monkeypatch.setattr(group, "generator_rho", corrupted)  # word_matrix folds it too
         for w in words:
             assert "a" in w
-            assert rho_via_formula(rank5, w) != word_matrix(rank5, w)
+            assert rho_via_formula(g, w) != word_matrix(g, w)
 
-    def test_product_outside_the_group_is_caught(self, d4):
+    def test_corrupted_generator_sign_breaks_generation(self, rank5, monkeypatch):
+        # on the rank-5 fixture the corrupted rho_a generates more than 2^5 elements
+        monkeypatch.setattr(group, "generator_rho", self._corrupt_a_at("c"))
+        failures = verify_graph(rank5)
+        assert [check for check, _ in failures] == ["generate"]
+        assert "closure has more than 32 elements" in failures[0][1]
+
+    def test_corrupted_table_entry_is_caught(self, d4):
         G = generate_group(d4)
-        a = generator_rho(d4, "a")
-        del G.index_of[a]
-        words = sign_formula_mismatches(G)
-        assert words[0] == ("a",)
-        assert all(word_matrix(d4, w) == a for w in words)
+        row = G.step[0]
+        G.step[0] = (row[1],) + row[1:]  # the a-neighbour of the identity is now b
+        assert sign_formula_mismatches(G) == [("a",)]
 
     def test_missing_identity_is_the_empty_word(self, d4):
         G = generate_group(d4)
-        del G.index_of[SignedPermutation.identity(d4.labels)]
+        G.elements[0] = G.elements[1]
+        assert not G.elements[0].matrix.is_identity
         assert sign_formula_mismatches(G) == [()]
 
 
@@ -162,8 +178,6 @@ class TestInvariantSubspaces:
         assert set(invariant_coordinate_subspaces(d4)) == {frozenset("a"), frozenset("bc")}
 
     def test_all_identity_graph_diagonalizes(self):
-        from conftest import graph_from
-
         g = graph_from("abcd")
         assert invariant_coordinate_subspaces(g) == [frozenset(s) for s in "abcd"]
 
