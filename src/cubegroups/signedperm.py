@@ -2,7 +2,9 @@
 
 A signed permutation is the matrix of an orthogonal map sending each basis
 vector e_t to sign(t) * e_{perm(t)}.  All arithmetic is exact integer work;
-instances are frozen and hashable so group closures can live in sets and dicts.
+instances are frozen and hashable, so a group's elements index a dict.  The
+same map permutes the 2n points +-e_t (`point_images`), the form in which
+group closures multiply.
 """
 
 from __future__ import annotations
@@ -58,6 +60,18 @@ class SignedPermutation:
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "signs", signs)
         return self
+
+    @classmethod
+    def _from_point_images(cls, labels, images) -> "SignedPermutation":
+        """Inverse of `point_images`, trusting ``images`` to be one."""
+        return cls._trusted(labels, tuple([x >> 1 for x in images[::2]]),
+                            tuple([1 - 2 * (x & 1) for x in images[::2]]))
+
+    def point_images(self) -> tuple[int, ...]:
+        """The map on the 2n points +-e_t: point 2i is +e_{labels[i]} and point
+        2i+1 is -e_{labels[i]}.  ``x.compose(y)`` sends point q to
+        ``x.point_images()[y.point_images()[q]]``."""
+        return tuple(2 * p + (k ^ (s < 0)) for p, s in zip(self.perm, self.signs) for k in (0, 1))
 
     @property
     def is_identity(self) -> bool:
@@ -155,7 +169,9 @@ class Perm:
     def __mul__(self, other: "Perm") -> "Perm":
         if len(self.images) != len(other.images):
             raise ValueError(f"degree mismatch: {len(self.images)} vs {len(other.images)}")
-        return Perm(tuple(self.images[x] for x in other.images))
+        product = object.__new__(Perm)  # a product of permutations needs no validation
+        object.__setattr__(product, "images", tuple(map(self.images.__getitem__, other.images)))
+        return product
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen = set()

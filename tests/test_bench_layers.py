@@ -58,15 +58,28 @@ def test_one_pass_passes_its_checks(name):
     assert checks.failed == 0, checks.messages
 
 
-def test_traced_run_counts_the_closure():
-    """One short traced run: the tracer's result hooks read the library's
-    return values, so a changed return shape fails here."""
-    argv = ["--workload", "reverse-r11", "--seed", "1", "--seconds", "1", "--trace", "1"]
+def _traced_run(workload):
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"]
     proc = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), *argv],
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"]
-    metrics = result["metrics"]
+    return result["metrics"]
+
+
+def test_traced_run_counts_the_closure():
+    """One short traced run: the tracer's result hooks read the library's
+    return values, so a changed return shape fails here."""
+    metrics = _traced_run("reverse-r11")
     assert metrics["group._closure.calls"]["value"] > 0
     assert metrics["group.elements"]["value"] > 0
+
+
+def test_traced_closure_r12_counts_both_groups():
+    """A traced closure-r12 pass builds two rank-12 groups; the tracer counts
+    each group's 4096 elements twice, from the closure's element list and from
+    the built group's order."""
+    metrics = _traced_run("closure-r12")
+    assert metrics["group._closure.calls"]["value"] == 2
+    assert metrics["group.elements"]["value"] == 2 * 2 * 4096

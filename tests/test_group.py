@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cubegroups.errors import (
+    DuplicateLabelError,
     NotACubeGroupError,
     NotAdmissibleError,
     NotInvolutionError,
@@ -276,6 +277,20 @@ class TestCayleyTable:
                     assert j == G.index_of[e.matrix.compose(rho[k])]
                     assert G.step[j][k] == i
 
+    def test_non_abelian_rank8_union(self, rank5):
+        # the rank-5 fixture plus a disjoint D4: j_s is the identity outside
+        # the component of s, so the union is admissible
+        swaps = {s: [(u, v) for u, v in rank5.involutions[s].items() if u < v]
+                 for s in rank5.labels}
+        g = graph_from("abcdefgh", {**swaps, "f": [("g", "h")]})
+        G = generate_group(g)
+        assert G.order == 2 ** 8
+        rho = [generator_rho(g, s) for s in g.labels]
+        for i, e in enumerate(G.elements):
+            assert e.matrix == word_matrix(g, e.word)
+            for k in range(8):
+                assert G.step[i][k] == G.index_of[e.matrix.compose(rho[k])]
+
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_edges_are_the_table(self, rank):
         for g, G in admissible_groups(rank):
@@ -419,6 +434,19 @@ class TestDecoratedGraphFromGroup:
         labels = tuple("abcdefghijklmnopqrstu")
         with pytest.raises(RankCapExceededError):
             decorated_graph_from_group(range(len(labels)), labels, mul)
+
+    def test_repeated_label_before_any_product(self):
+        products = 0
+
+        def mul(x, y):
+            nonlocal products
+            products += 1
+            return x * y
+
+        gens = [Perm((1, 0, 2, 3)), Perm((0, 1, 3, 2))]
+        with pytest.raises(DuplicateLabelError, match="'a'"):
+            decorated_graph_from_group(gens, ("a", "a"), mul)
+        assert products == 0
 
     def test_rejects_non_involution(self):
         gens = [Perm.from_cycles(3, [(0, 1)]), Perm((1, 2, 0))]

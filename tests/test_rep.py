@@ -118,14 +118,19 @@ class TestFormulaAndFold:
     def test_swapped_compose_is_caught(self, rank5, monkeypatch):
         a, b = generator_rho(rank5, "a"), generator_rho(rank5, "b")
         assert a.compose(b) != b.compose(a)  # non-abelian
-        original = SignedPermutation.compose
-        monkeypatch.setattr(SignedPermutation, "compose", lambda x, y: original(y, x))
+        # the closure's right multiplier by a generator's point images
+        # becomes left multiplication: m * g is computed as g after m
+        monkeypatch.setattr(group, "itemgetter", lambda *g: lambda m: tuple(g[x] for x in m))
         words = _sign_formula_words(rank5)
         assert words
         # each reported word is a real witness: the formula differs from the
-        # fold computed with the same wrong product
+        # fold computed with the same wrong product, letters taken last to
+        # first as right factors
         for w in words:
-            assert rho_via_formula(rank5, w) != word_matrix(rank5, w)
+            fold = SignedPermutation.identity(rank5.labels)
+            for s in reversed(w):
+                fold = generator_rho(rank5, s).compose(fold)  # wrong: fold * rho_s
+            assert rho_via_formula(rank5, w) != fold
 
     @staticmethod
     def _corrupt_a_at(label):

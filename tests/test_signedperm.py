@@ -169,7 +169,33 @@ def test_apply_to_vector(d4):
     assert rho_a.apply_to_vector({"a": 1, "b": 2, "c": 3}) == {"a": -1, "b": 3, "c": 2}
 
 
+@given(signed_perms(), signed_perms())
+def test_point_images(x, y):
+    # decoding gives x back; composing matrices composes the point maps
+    images = x.point_images()
+    assert sorted(images) == list(range(2 * len(LABELS)))
+    assert SignedPermutation._from_point_images(LABELS, images) == x
+    composed = tuple(images[q] for q in y.point_images())
+    assert x.compose(y).point_images() == composed
+
+
+def test_point_images_of_a_generator(d4):
+    # rho_a sends e_a to -e_a and swaps e_b with e_c
+    assert generator_rho(d4, "a").point_images() == (1, 0, 4, 5, 2, 3)
+
+
 class TestPerm:
+    @pytest.mark.parametrize("images", [(0, 0, 1), (0, 2), (1,)])
+    def test_constructor_validates(self, images):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Perm(images)
+
+    @given(st.permutations(range(5)), st.permutations(range(5)))
+    def test_product_equals_validated_construction(self, a, b):
+        product = Perm(tuple(a)) * Perm(tuple(b))
+        assert product == Perm(tuple(a[x] for x in b))
+        assert hash(product) == hash(Perm(product.images))
+
     def test_from_cycles_and_mul(self):
         a = Perm.from_cycles(4, [(0, 2)])
         b = Perm.from_cycles(4, [(0, 1), (2, 3)])
