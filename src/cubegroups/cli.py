@@ -19,7 +19,6 @@ from .sweep import sweep as run_sweep
 from .errors import (
     CubeGroupError,
     InternalConsistencyError,
-    JobsOutOfRangeError,
     NotACubeGroupError,
     NotADecompositionError,
     ParseError,
@@ -166,7 +165,7 @@ def cmd_from_group(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    report = run_sweep(args.rank, jobs=args.jobs)
+    report = run_sweep(args.rank)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
     else:
@@ -225,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="exhaustive verification sweep at small rank")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
@@ -242,10 +240,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except JobsOutOfRangeError as exc:
-        print(f"error[usage]: --jobs must be between 1 and {exc.cpus}, got {exc.jobs}",
-              file=sys.stderr)
         return EXIT_USAGE
     except InternalConsistencyError as exc:
         print(f"error[internal]: {exc}", file=sys.stderr)

@@ -51,13 +51,6 @@ class RankCapExceededError(CubeGroupError):
         super().__init__(f"rank {rank} exceeds cap {cap}")
 
 
-class JobsOutOfRangeError(CubeGroupError):
-    def __init__(self, jobs, cpus):
-        super().__init__(f"jobs must be between 1 and {cpus}, got {jobs}")
-        self.jobs = jobs
-        self.cpus = cpus
-
-
 class NotInvolutionError(CubeGroupError):
     def __init__(self, label):
         super().__init__(f"generator {label!r} is not a nontrivial involution")

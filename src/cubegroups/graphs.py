@@ -105,10 +105,14 @@ class DecoratedGraph:
     def restricted(self, subset) -> "DecoratedGraph":
         """Restriction to an invariant label subset, preserving label order.
 
-        Each kept involution must map the subset into itself; raises ValueError
-        otherwise (callers restrict to invariant subsets only).
+        Raises UnknownLabelError, naming the sorted unknown labels, when the
+        subset holds a label the graph lacks.  Each kept involution must map
+        the subset into itself; raises ValueError otherwise.
         """
         keep = set(subset)
+        unknown = keep.difference(self.involutions)
+        if unknown:
+            raise UnknownLabelError(sorted(unknown))
         labels = tuple(s for s in self.labels if s in keep)
         invs = {}
         for s in labels:

@@ -361,23 +361,24 @@ def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> De
 
 
 def standard_subgroup(G: CubeGroup, subset) -> CubeGroup:
-    """Subgroup generated by a label subset, required to be a cube group on it.
+    """Subgroup H generated by a label subset T, required to be a cube group on T.
 
-    The subset's generator matrices go through `decorated_graph_from_group`,
-    and the extracted graph is generated as a cube group.  Raises
-    NotStandardError with that function's evidence when the closure has the
-    wrong order or its Cayley graph fails the cube check, and
-    RankTooSmallError for an empty subset.
+    H is standard exactly when T is invariant under j_t for every t in T, and
+    then its decorated graph is the restriction of G's graph to T, so H is
+    that restriction's group, closed once.  Invariant implies standard: every
+    element of H negates only coordinates in T, so |H| <= 2^|T|, and
+    restricting to those coordinates maps H onto the restriction's group of
+    order 2^|T|.  Standard implies invariant: H's cube vertices are then the
+    subsets of T, and at rho_s the letter t flips bit j_s(t), which must
+    then lie in T.
+
+    Raises UnknownLabelError for a label not in G, NotStandardError naming
+    the involution that maps T out of itself, and RankTooSmallError (from
+    the closure) for an empty subset.
     """
     subset = set(subset)
-    if not subset:
-        raise RankTooSmallError(0, 1)
-    T = [s for s in G.graph.labels if s in subset]
-    if len(T) != len(subset):
-        raise UnknownLabelError(sorted(subset.difference(T)))
-    gens = [generator_rho(G.graph, t) for t in T]
     try:
-        sub_graph = decorated_graph_from_group(gens, T, SignedPermutation.compose)
-    except NotACubeGroupError as exc:
-        raise NotStandardError(T, exc.reason) from exc
+        sub_graph = G.graph.restricted(subset)
+    except ValueError as exc:
+        raise NotStandardError(subset, str(exc)) from exc
     return generate_group(sub_graph)

@@ -11,13 +11,14 @@ generation certifies the cube group once, in the closure.  The sign-formula
 check (`rep.sign_formula_mismatches`) reads the multiplication table that
 closure built: one formula step per element and letter proves, by induction
 on word length, that the formula equals the matrix fold on every word.
+The sweep is one loop in the calling process.  A process pool does not pay
+at any rank up to the cap: the caller enumerates and pickles the graphs
+serially, and at rank 5 the pickling alone takes 0.3-0.4 s of a 1 s sweep.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .decompose import (
@@ -27,7 +28,7 @@ from .decompose import (
     planar_orderings,
     two_orbit_check,
 )
-from .errors import CubeGroupError, JobsOutOfRangeError, RankCapExceededError, RankTooSmallError
+from .errors import CubeGroupError, RankCapExceededError, RankTooSmallError
 from .graphs import DecoratedGraph, admissible_quick, validate_label
 from .group import generate_group
 from .rep import is_reducible, sign_formula_mismatches
@@ -78,12 +79,6 @@ def _check_rank(rank: int) -> None:
         raise RankTooSmallError(rank, 1)
     if rank > RANK_CAP:
         raise RankCapExceededError(rank, RANK_CAP)
-
-
-def _check_jobs(jobs: int) -> None:
-    cpus = os.cpu_count() or 1
-    if not 1 <= jobs <= cpus:
-        raise JobsOutOfRangeError(jobs, cpus)
 
 
 def enumerate_decorated_graphs(rank: int):
@@ -169,41 +164,21 @@ def verify_graph(g: DecoratedGraph) -> list[tuple[str, str]]:
     return failures
 
 
-def _sweep_item(args):
-    index, g = args
-    admissible = admissible_quick(g)
-    if not admissible:
-        return index, False, []
-    return index, True, verify_graph(g)
-
-
-def sweep(rank: int, jobs: int = 1) -> SweepReport:
+def sweep(rank: int) -> SweepReport:
     """Enumerate all decorated graphs at a rank and verify every admissible one.
 
-    Deterministic regardless of `jobs`: results reduce in enumeration order.
-    `jobs` must lie between 1 and the CPU count.
+    One loop in the calling process, in enumeration order, so the report is
+    deterministic; the rank is bounded before any graph is built.
     """
-    _check_jobs(jobs)
-    _check_rank(rank)
     report = SweepReport(rank)
-    items = enumerate(enumerate_decorated_graphs(rank))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(_sweep_item, items, chunksize=64)
-            for index, admissible, failures in results:
-                _reduce(report, index, admissible, failures)
-    else:
-        for args in items:
-            _reduce(report, *_sweep_item(args))
+    for index, g in enumerate(enumerate_decorated_graphs(rank)):
+        report.total_graphs += 1
+        if not admissible_quick(g):
+            continue
+        report.admissible_count += 1
+        failures = verify_graph(g)
+        if failures:
+            report.failures.extend((index, check, detail) for check, detail in failures)
+        else:
+            report.verified_count += 1
     return report
-
-
-def _reduce(report: SweepReport, index: int, admissible: bool, failures) -> None:
-    report.total_graphs += 1
-    if not admissible:
-        return
-    report.admissible_count += 1
-    if failures:
-        report.failures.extend((index, check, detail) for check, detail in failures)
-    else:
-        report.verified_count += 1

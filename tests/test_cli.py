@@ -1,5 +1,7 @@
 import json
-import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,17 +202,13 @@ class TestEnumerate:
         assert main(["enumerate", "--rank", "0"]) == 1
         assert "rank 0 too small; need at least 1" in capsys.readouterr().err
 
-    def test_jobs_zero_rejected(self, capsys):
-        assert main(["enumerate", "--rank", "1", "--jobs", "0"]) == 2
+    def test_jobs_option_is_gone(self, capsys):
+        # the sweep runs in one process; an old script passing --jobs fails loudly
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--rank", "1", "--jobs", "2"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "--jobs must be between 1 and" in captured.err
-        assert captured.out == ""
-
-    def test_jobs_above_cpu_count_rejected(self, monkeypatch, capsys):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert main(["enumerate", "--rank", "1", "--jobs", "2"]) == 2
-        captured = capsys.readouterr()
-        assert "--jobs must be between 1 and 1, got 2" in captured.err
+        assert "unrecognized arguments: --jobs 2" in captured.err
         assert captured.out == ""
 
     def test_json(self, capsys):
@@ -218,3 +216,15 @@ class TestEnumerate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["total_graphs"] == 1
         assert payload["failures"] == []
+
+
+def test_cli_import_loads_no_process_machinery():
+    """A fresh interpreter importing the CLI pays for no process pool."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import cubegroups.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"

@@ -231,6 +231,13 @@ def test_restriction_requires_invariance(d4):
         d4.restricted({"a", "b"})  # j_a maps b out of the subset
 
 
+@pytest.mark.parametrize("subset", [{"a", "z"}, {"z"}, {"y", "b", "z"}])
+def test_restriction_rejects_unknown_labels(d4, subset):
+    with pytest.raises(UnknownLabelError) as exc:
+        d4.restricted(subset)
+    assert exc.value.label == sorted(subset - set(d4.labels))
+
+
 def test_restriction_of_invariant_subset(d4):
     sub = d4.restricted({"b", "c"})
     assert sub.labels == ("b", "c")

@@ -347,7 +347,8 @@ class TestStandardSubgroup:
     def test_d4_ab_not_standard(self, d4):
         with pytest.raises(NotStandardError) as exc:
             standard_subgroup(generate_group(d4), ["a", "b"])
-        assert "closure has more than 4 elements" in str(exc.value)
+        assert "not invariant under j_a" in str(exc.value)
+        assert exc.value.subset == {"a", "b"}
 
     def test_full_set_is_standard(self, rank5):
         G = generate_group(rank5)
@@ -356,8 +357,11 @@ class TestStandardSubgroup:
         assert sub.graph == rank5
 
     def test_unknown_label(self, d4):
-        with pytest.raises(UnknownLabelError):
-            standard_subgroup(generate_group(d4), ["z"])
+        G = generate_group(d4)
+        for subset in (["z"], ["a", "z"]):
+            with pytest.raises(UnknownLabelError) as exc:
+                standard_subgroup(G, subset)
+            assert exc.value.label == ["z"]
 
     def test_subset_is_read_once(self, d4):
         sub = standard_subgroup(generate_group(d4), iter(["b", "c"]))
@@ -366,6 +370,27 @@ class TestStandardSubgroup:
     def test_empty_subset(self, d4):
         with pytest.raises(RankTooSmallError):
             standard_subgroup(generate_group(d4), [])
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_invariance_rule_matches_the_closure_oracle(self, rank):
+        """Standard exactly when the subset is invariant: the reference closes
+        the subset's generator matrices and extracts their decorated graph."""
+        for g, G in admissible_groups(rank):
+            for size in range(1, rank + 1):
+                for T in itertools.combinations(g.labels, size):
+                    try:
+                        expected = decorated_graph_from_group(
+                            [generator_rho(g, t) for t in T], T, SignedPermutation.compose)
+                    except NotACubeGroupError:
+                        expected = None
+                    try:
+                        H = standard_subgroup(G, T)
+                    except NotStandardError:
+                        assert expected is None, (g, T)
+                        continue
+                    assert expected is not None, (g, T)
+                    assert H.graph == expected
+                    assert H.order == 2 ** size
 
 
 class TestDecoratedGraphFromGroup:

@@ -1,9 +1,8 @@
 import importlib
-import os
 
 import pytest
 
-from cubegroups.errors import JobsOutOfRangeError, RankCapExceededError, RankTooSmallError
+from cubegroups.errors import RankCapExceededError, RankTooSmallError
 from cubegroups.graphs import DecoratedGraph
 from cubegroups.sweep import (
     enumerate_decorated_graphs,
@@ -77,17 +76,6 @@ def test_enumeration_validates_the_label_set(monkeypatch):
         next(graphs)
 
 
-@pytest.mark.parametrize("jobs", [0, -1, 2])
-def test_jobs_bounded_before_any_work(monkeypatch, jobs):
-    def no_pool(*args, **kwargs):
-        pytest.fail("a worker pool was started")
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_pool)
-    with pytest.raises(JobsOutOfRangeError, match=f"between 1 and 1, got {jobs}"):
-        sweep(3, jobs=jobs)
-
-
 def test_rank_cap():
     with pytest.raises(RankCapExceededError):
         list(enumerate_decorated_graphs(6))
@@ -124,12 +112,6 @@ def test_sweep_rank1_trivial():
     report = sweep(1)
     assert report.ok
     assert report.total_graphs == 1
-
-
-def test_sweep_parallel_matches_serial():
-    serial = sweep(3, jobs=1)
-    parallel = sweep(3, jobs=2)
-    assert serial.as_dict() == parallel.as_dict()
 
 
 def test_report_as_dict_schema():
