@@ -187,15 +187,9 @@ def holonomy(g: DecoratedGraph, s1: str, s2: str) -> Permutation:
     traj = trajectory(g, s1, s2)
     if not traj.is_periodic:
         raise NotFourPeriodicError(traj.seed)
-    return dict(zip(g.labels, _period_images(g, traj.period)))
-
-
-def _period_images(g: DecoratedGraph, period) -> tuple[str, ...]:
-    """Images of the labels, in label order, under the composite along a
-    period (its first four terms)."""
     inv = g.involutions
-    j1, j2, j3, j4 = inv[period[0]], inv[period[1]], inv[period[2]], inv[period[3]]
-    return tuple([j4[j3[j2[j1[t]]]] for t in g.labels])
+    j1, j2, j3, j4 = (inv[s] for s in traj.period)
+    return {t: j4[j3[j2[j1[t]]]] for t in g.labels}
 
 
 def identity_permutation(labels) -> Permutation:
@@ -220,22 +214,42 @@ def seed_pairs(g: DecoratedGraph):
     return ((u, v) for u, v in itertools.product(g.labels, repeat=2) if u != v)
 
 
-def _failing_seeds(g: DecoratedGraph):
-    """Yield ``(seed, witness)`` for each failing seed, in label order.
+def _failing_seeds(labels, inv):
+    """Yield ``(seed, witness)`` for each failing seed that the involution
+    table `inv` decides, in label order.
 
+    `inv` maps every label to its involution, or to None while that
+    involution is not assigned yet (the sweep's label-by-label search fills
+    in ``dict.fromkeys(labels)``); a full table decides every seed.  Seed
+    (u, v) is decided once j_v, j_{s3}, j_{s4} and j_{s5} are assigned, and
+    skipped until then.  Its period and holonomy need no other label: a
+    periodic seed has s5 = u.  A label missing from `inv` raises KeyError.
     The witness is None when the trajectory is not 4-periodic, and the
-    nontrivial holonomy otherwise.  Each trajectory is computed once; the
-    seeds come from the label set, so their labels need no check.
+    nontrivial holonomy otherwise.  The seeds come from `labels`, so their
+    labels need no check.
     """
-    inv = g.involutions
-    for u, v in seed_pairs(g):
-        terms = _terms(inv, u, v)
-        if terms[4:6] != (u, v):
+    for u, v in itertools.permutations(labels, 2):
+        j2 = inv[v]
+        if j2 is None:
+            continue
+        s3 = j2[u]
+        j3 = inv[s3]
+        if j3 is None:
+            continue
+        s4 = j3[v]
+        j4 = inv[s4]
+        if j4 is None:
+            continue
+        s5 = j4[s3]
+        j1 = inv[s5]
+        if j1 is None:
+            continue
+        if s5 != u or j1[s4] != v:
             yield (u, v), None
             continue
-        images = _period_images(g, terms)
-        if images != g.labels:
-            yield (u, v), dict(zip(g.labels, images))
+        images = tuple([j4[j3[j2[j1[t]]]] for t in labels])
+        if images != labels:
+            yield (u, v), dict(zip(labels, images))
 
 
 def is_admissible(g: DecoratedGraph) -> AdmissibilityReport:
@@ -245,14 +259,14 @@ def is_admissible(g: DecoratedGraph) -> AdmissibilityReport:
     """
     failures = tuple(
         AdmissibilityFailure(seed, "NotFourPeriodic" if witness is None else "Holonomy", witness)
-        for seed, witness in _failing_seeds(g)
+        for seed, witness in _failing_seeds(g.labels, g.involutions)
     )
     return AdmissibilityReport(not failures, failures)
 
 
 def admissible_quick(g: DecoratedGraph) -> bool:
     """Short-circuit admissibility test: stops at the first failing seed."""
-    return next(_failing_seeds(g), None) is None
+    return next(_failing_seeds(g.labels, g.involutions), None) is None
 
 
 def require_admissible(g: DecoratedGraph) -> None:

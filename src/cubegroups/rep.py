@@ -14,6 +14,7 @@ representation is reducible whenever there are at least two blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .decompose import orbits, perm_image
 from .errors import RankTooSmallError, UnknownLabelError
@@ -93,7 +94,12 @@ def sign_formula_mismatches(G: CubeGroup) -> list[tuple[str, ...]]:
     """
     g = G.graph
     labels = g.labels
-    involution = [tuple(labels.index(g.involutions[s][t]) for t in labels) for s in labels]
+    # one getter per letter: index tuple -> its entries at j_s(t), t in label order
+    if len(labels) == 1:
+        getters = [lambda seq: (seq[0],)]  # itemgetter(0) returns the item itself
+    else:
+        getters = [itemgetter(*[labels.index(g.involutions[s][t]) for t in labels])
+                   for s in labels]
     matrices = [e.matrix for e in G.elements]
     if not matrices[0].is_identity:
         return [()]
@@ -103,10 +109,11 @@ def sign_formula_mismatches(G: CubeGroup) -> list[tuple[str, ...]]:
     for i in queue:  # the list grows while it is walked
         m, word = matrices[i], words[i]
         for k, (s, j) in enumerate(zip(labels, G.step[i])):
-            image = involution[k]
-            step = (tuple(m.perm[x] for x in image),
-                    tuple(-m.signs[x] if t == k else m.signs[x] for t, x in enumerate(image)))
-            if step != (matrices[j].perm, matrices[j].signs):
+            get = getters[k]
+            signs = list(get(m.signs))
+            signs[k] = -signs[k]
+            target = matrices[j]
+            if get(m.perm) != target.perm or tuple(signs) != target.signs:
                 bad.append((s,) + word)
             elif j not in words:
                 words[j] = (s,) + word

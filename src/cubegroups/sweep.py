@@ -2,18 +2,21 @@
 verification battery over the admissible population.
 
 Each label needs an involution of the remaining labels, so the population at
-rank n is I(n-1)^n where I(m) counts involutions on m points.  The sweep runs
-group generation, orbit, reducibility, normal-form, and sign-formula checks on
-every admissible graph and aggregates failures (expected: none).
-Enumeration validates the label set once, then builds each graph without
-re-validation: its involutions fix their own label by construction.  Group
+rank n is I(n-1)^n where I(m) counts involutions on m points.  The sweep
+never builds an inadmissible graph: it assigns the involutions label by
+label and cuts a branch at the first failing seed the assigned labels
+decide, since every completion shares that seed.  Each admissible graph keeps
+its index in the brute-force enumeration `enumerate_decorated_graphs`, which
+stays as the search's test oracle.  The sweep runs group generation, orbit,
+normal-form, and sign-formula checks on every admissible graph and
+aggregates failures (expected: none).
+Graphs are built without re-validation: the label set is validated once,
+and each involution fixes its own label by construction.  Group
 generation certifies the cube group once, in the closure.  The sign-formula
 check (`rep.sign_formula_mismatches`) reads the multiplication table that
 closure built: one formula step per element and letter proves, by induction
 on word length, that the formula equals the matrix fold on every word.
-The sweep is one loop in the calling process.  A process pool does not pay
-at any rank up to the cap: the caller enumerates and pickles the graphs
-serially, and at rank 5 the pickling alone takes 0.3-0.4 s of a 1 s sweep.
+The sweep is one loop in the calling process.
 """
 
 from __future__ import annotations
@@ -21,21 +24,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .decompose import (
-    decomposition_ordering,
-    normal_form,
-    orbit_tree,
-    planar_orderings,
-    two_orbit_check,
-)
+from .decompose import _orbit_tree, decomposition_ordering, normal_form, orbits, planar_orderings
 from .errors import CubeGroupError, RankCapExceededError, RankTooSmallError
-from .graphs import DecoratedGraph, admissible_quick, validate_label
+from .graphs import DecoratedGraph, _failing_seeds, validate_label
 from .group import generate_group
-from .rep import is_reducible, sign_formula_mismatches
+from .rep import sign_formula_mismatches
 
-# Unused here, but perfbench/layers.py traces both names in this module.
+# Unused here, but perfbench/layers.py traces these names in this module.
+from .decompose import orbit_tree, two_orbit_check  # noqa: F401
+from .graphs import admissible_quick  # noqa: F401
 from .group import word_matrix  # noqa: F401
-from .rep import rho_via_formula  # noqa: F401
+from .rep import is_reducible, rho_via_formula  # noqa: F401
 
 # Bound once: perfbench/layers.py replaces the name DecoratedGraph here with a
 # plain function during a traced run.
@@ -81,20 +80,56 @@ def _check_rank(rank: int) -> None:
         raise RankCapExceededError(rank, RANK_CAP)
 
 
-def enumerate_decorated_graphs(rank: int):
-    """Every decorated graph on the first `rank` standard labels, exactly once,
-    in deterministic lexicographic order.  Each graph owns its involution
-    dicts: no two yielded graphs share a mapping object."""
+def _label_choices(rank: int):
+    """The first `rank` standard labels, validated, and per label its
+    label-fixing involutions in enumeration order."""
     _check_rank(rank)
     labels = tuple(DEFAULT_LABELS[:rank])
     for s in labels:
         validate_label(s)
-    per_label = []
-    for s in labels:
-        others = [t for t in labels if t != s]
-        per_label.append([{s: s, **j} for j in involutions_of(others)])
-    for combo in itertools.product(*per_label):
+    choices = [[{s: s, **j} for j in involutions_of([t for t in labels if t != s])]
+               for s in labels]
+    return labels, choices
+
+
+def enumerate_decorated_graphs(rank: int):
+    """Every decorated graph on the first `rank` standard labels, exactly once,
+    in deterministic lexicographic order: the brute-force population, and the
+    test oracle for the sweep's pruned search.  Each graph owns its involution
+    dicts: no two yielded graphs share a mapping object."""
+    labels, choices = _label_choices(rank)
+    for combo in itertools.product(*choices):
         yield _trusted_graph(labels, dict(zip(labels, map(dict.copy, combo))))
+
+
+def _admissible_graphs(rank: int):
+    """Yield ``(index, graph)`` for each admissible graph on the first `rank`
+    standard labels, in enumeration order; `index` is the graph's position in
+    `enumerate_decorated_graphs(rank)`.
+
+    Depth-first over the labels in order, each trying its involutions in
+    enumeration order, so the index is the mixed-radix number of the choices
+    with the last label varying fastest.  After each assignment the
+    admissibility core runs on the partial table; a failing seed it decides
+    fails for every completion, so the branch is cut there.  Only admissible
+    graphs are built, each owning its involution dicts.
+    """
+    labels, choices = _label_choices(rank)
+    radix = len(choices[0])
+    inv = dict.fromkeys(labels)
+
+    def extend(depth, index):
+        if depth == rank:
+            yield index, _trusted_graph(labels, {s: dict(inv[s]) for s in labels})
+            return
+        s = labels[depth]
+        for choice, j in enumerate(choices[depth]):
+            inv[s] = j
+            if next(_failing_seeds(labels, inv), None) is None:
+                yield from extend(depth + 1, index * radix + choice)
+        inv[s] = None
+
+    return extend(0, 0)
 
 
 @dataclass
@@ -126,9 +161,12 @@ def verify_graph(g: DecoratedGraph) -> list[tuple[str, str]]:
     """Run the full battery on one admissible graph; returns (check, detail)
     failures, empty on success.
 
-    The sign-formula check compares the closed formula with the matrix fold
-    on every word of every length, by induction over the group's
-    multiplication table; each mismatch is reported as
+    Admissibility is decided once, in `generate_group`.  A graph of rank >= 2
+    whose label action has a single orbit is reported as
+    ``("reducible", "single orbit")``: it has no orbit tree, so its normal
+    forms are not checked.  The sign-formula check compares the closed
+    formula with the matrix fold on every word of every length, by induction
+    over the group's multiplication table; each mismatch is reported as
     ``("sign-formula", "word (...)")``.
     """
     failures = []
@@ -137,23 +175,16 @@ def verify_graph(g: DecoratedGraph) -> list[tuple[str, str]]:
         G = generate_group(g)
     except CubeGroupError as exc:
         return [("generate", str(exc))]
-    if n >= 2:
-        try:
-            if not two_orbit_check(g):
-                failures.append(("two-orbits", "single orbit"))
-        except CubeGroupError as exc:
-            failures.append(("two-orbits", str(exc)))
-        try:
-            if not is_reducible(g):
-                failures.append(("reducible", "no coordinate splitting"))
-        except CubeGroupError as exc:
-            failures.append(("reducible", str(exc)))
-    tree = orbit_tree(g)
-    orderings = (
-        planar_orderings(tree)
-        if n <= PLANAR_REORDER_RANK_CAP
-        else [decomposition_ordering(tree)]
-    )
+    if n >= 2 and orbits(g).block_count < 2:
+        failures.append(("reducible", "single orbit"))
+        orderings = []  # no orbit tree, so no ordering to check
+    else:
+        tree = _orbit_tree(g)
+        orderings = (
+            planar_orderings(tree)
+            if n <= PLANAR_REORDER_RANK_CAP
+            else [decomposition_ordering(tree)]
+        )
     for ordering in orderings:
         try:
             normal_form(G, ordering)
@@ -165,16 +196,16 @@ def verify_graph(g: DecoratedGraph) -> list[tuple[str, str]]:
 
 
 def sweep(rank: int) -> SweepReport:
-    """Enumerate all decorated graphs at a rank and verify every admissible one.
+    """Count all decorated graphs at a rank and verify every admissible one.
 
     One loop in the calling process, in enumeration order, so the report is
-    deterministic; the rank is bounded before any graph is built.
+    deterministic; the rank is bounded before any graph is built.  Only the
+    admissible graphs are built (see `_admissible_graphs`); each failure
+    carries the graph's index in `enumerate_decorated_graphs(rank)`.
     """
-    report = SweepReport(rank)
-    for index, g in enumerate(enumerate_decorated_graphs(rank)):
-        report.total_graphs += 1
-        if not admissible_quick(g):
-            continue
+    _check_rank(rank)
+    report = SweepReport(rank, total_graphs=involution_count(rank - 1) ** rank)
+    for index, g in _admissible_graphs(rank):
         report.admissible_count += 1
         failures = verify_graph(g)
         if failures:

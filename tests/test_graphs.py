@@ -123,6 +123,31 @@ class TestAdmissibility:
                     assert f.witness == holonomy(g, *f.seed)
 
 
+class TestPartialTable:
+    """The admissibility core on a table whose unassigned involutions are None."""
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_reports_exactly_the_decided_failures(self, rank):
+        for g in enumerate_decorated_graphs(rank):
+            full = list(graphs._failing_seeds(g.labels, g.involutions))
+            # seed (u, v) is decided by j_v, j_{s3}, j_{s4} and j_{s5}
+            needs = {seed: set(trajectory(g, *seed).terms[1:5]) for seed, _ in full}
+            for k in range(rank + 1):
+                for assigned in itertools.combinations(g.labels, k):
+                    inv = dict.fromkeys(g.labels)
+                    inv.update((s, g.involutions[s]) for s in assigned)
+                    expected = [(seed, w) for seed, w in full if needs[seed] <= set(assigned)]
+                    assert list(graphs._failing_seeds(g.labels, inv)) == expected
+
+    def test_missing_label_raises(self, bad_rank3):
+        inv = dict(bad_rank3.involutions)
+        del inv["c"]
+        with pytest.raises(KeyError):
+            list(graphs._failing_seeds(bad_rank3.labels, inv))
+        with pytest.raises(KeyError):
+            admissible_quick(DecoratedGraph._trusted(bad_rank3.labels, inv))
+
+
 class TestEdgePartition:
     def test_rank5_partition(self, rank5):
         groups = {(g.kind, g.vertices) for g in edge_partition(rank5)}

@@ -2,8 +2,10 @@ import importlib
 
 import pytest
 
+from cubegroups import graphs
+from cubegroups.decompose import OrbitPartition
 from cubegroups.errors import RankCapExceededError, RankTooSmallError
-from cubegroups.graphs import DecoratedGraph
+from cubegroups.graphs import DecoratedGraph, admissible_quick
 from cubegroups.sweep import (
     enumerate_decorated_graphs,
     involution_count,
@@ -91,6 +93,12 @@ def test_verify_graph_clean_on_fixture(d4):
     assert verify_graph(d4) == []
 
 
+def test_verify_graph_reports_a_single_orbit(d4, monkeypatch):
+    # no admissible graph has one orbit, so fake the orbit count
+    monkeypatch.setattr(sweep_module, "orbits", lambda g: OrbitPartition((frozenset(g.labels),)))
+    assert verify_graph(d4) == [("reducible", "single orbit")]
+
+
 def test_sweep_rank2():
     report = sweep(2)
     assert report.total_graphs == 1
@@ -125,3 +133,55 @@ def test_report_as_dict_schema():
         "verified_count",
         "failures",
     }
+
+
+@pytest.mark.parametrize("rank,expected", [(1, 1), (2, 1), (3, 4), (4, 22), (5, 236)])
+def test_search_equals_brute_force(rank, expected):
+    # oracle: test every graph of the brute-force population
+    brute = [(i, g) for i, g in enumerate(enumerate_decorated_graphs(rank)) if admissible_quick(g)]
+    searched = list(sweep_module._admissible_graphs(rank))
+    assert len(brute) == expected
+    assert searched == brute
+
+
+def test_searched_graphs_share_no_mapping():
+    found = [g for _, g in sweep_module._admissible_graphs(3)]
+    maps = [j for g in found for j in g.involutions.values()]
+    assert len({id(m) for m in maps}) == len(maps)
+
+
+def test_failure_index_selects_the_failing_graph(monkeypatch):
+    population = list(enumerate_decorated_graphs(4))
+    admissible = [g for g in population if admissible_quick(g)]
+    chosen = admissible[len(admissible) // 2]
+    monkeypatch.setattr(sweep_module, "verify_graph",
+                        lambda g: [("fake", "chosen")] if g == chosen else [])
+    report = sweep(4)
+    assert report.total_graphs == len(population)
+    assert report.admissible_count == len(admissible)
+    assert report.verified_count == len(admissible) - 1
+    ((index, check, detail),) = report.failures
+    assert (check, detail) == ("fake", "chosen")
+    assert population[index] == chosen
+    assert population.index(chosen) == index
+
+
+def test_sweep_builds_only_admissible_graphs(monkeypatch):
+    """The search must prune: at rank 5 it builds the 236 admissible graphs
+    and runs the admissibility core on far fewer than the 100,000 graphs a
+    brute-force pass would test."""
+    calls = {"core": 0, "graphs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sweep_module, "_failing_seeds", counted("core", graphs._failing_seeds))
+    monkeypatch.setattr(sweep_module, "_trusted_graph", counted("graphs", DecoratedGraph._trusted))
+    report = sweep(5)
+    assert report.ok
+    assert (report.total_graphs, report.admissible_count) == (100_000, 236)
+    assert calls["graphs"] == 236
+    assert calls["core"] < 15_000
