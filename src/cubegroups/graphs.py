@@ -107,7 +107,9 @@ class DecoratedGraph:
 
         Raises UnknownLabelError, naming the sorted unknown labels, when the
         subset holds a label the graph lacks.  Each kept involution must map
-        the subset into itself; raises ValueError otherwise.
+        the subset into itself; raises ValueError otherwise.  The result is
+        built without re-validation: its labels and involutions are
+        restrictions of this graph's, so they inherit every checked property.
         """
         keep = set(subset)
         unknown = keep.difference(self.involutions)
@@ -120,7 +122,8 @@ class DecoratedGraph:
             if any(j[t] not in keep for t in keep):
                 raise ValueError(f"subset {sorted(keep)} is not invariant under j_{s}")
             invs[s] = {t: j[t] for t in keep}
-        return DecoratedGraph(labels, invs)
+        # type(self), not the module name: a traced run replaces that with a function
+        return type(self)._trusted(labels, invs)
 
 
 class TrajectoryKind(Enum):

@@ -3,9 +3,11 @@
 An admissible decorated graph of rank n generates a group of 2^n signed
 permutations (the geometric images of the group elements).  The closure's
 right-multiplication table is its labeled Cayley graph, which must be the
-1-skeleton of the n-cube; one certificate checks this on the table by
-assigning each vertex a bitmask in {0,1}^n breadth-first and checking
-adjacency against Hamming distance 1.
+1-skeleton of the n-cube.  `generate_group` files each product at the cube
+vertex (a bitmask in {0,1}^n) the graph predicts for it, which certifies
+this as the closure runs.  The reverse construction has no graph yet, so its
+generic closure runs one certificate on the table: it assigns each vertex a
+bitmask breadth-first and checks adjacency against Hamming distance 1.
 """
 
 from __future__ import annotations
@@ -162,7 +164,6 @@ class CubeGroup:
 
     graph: DecoratedGraph
     elements: list[GroupElement]
-    index_of: dict[SignedPermutation, int]
     step: list[tuple[int, ...]]
     coords: list[int]
 
@@ -190,6 +191,11 @@ class CubeGroup:
         return LabeledGraph(tuple(range(self.order)), tuple(edges))
 
     @cached_property
+    def index_of(self) -> dict[SignedPermutation, int]:
+        """Matrix -> element index, built on first use."""
+        return {e.matrix: e.index for e in self.elements}
+
+    @cached_property
     def _label_index(self) -> dict[str, int]:
         return {s: k for k, s in enumerate(self.graph.labels)}
 
@@ -213,22 +219,27 @@ class CubeGroup:
 
 
 def generate_group(g: DecoratedGraph) -> CubeGroup:
-    """Breadth-first closure of the generator matrices, with hypercube certification.
+    """Breadth-first closure of the generator matrices over their predicted cube vertices.
 
     The closure multiplies the matrices' images of the 2n points +-e_t, one
-    `itemgetter` call per product, then decodes each of the 2^n elements once.
+    `itemgetter` call per product, and files each product at the cube vertex
+    the graph predicts for it (`_vertex_closure`), which certifies the table
+    as the n-cube as it goes; then it decodes each of the 2^n elements once.
     Deterministic label-order BFS gives reproducible shortest witness words.
     An admissible graph always generates a cube group, so a closure that is
     not one raises InternalConsistencyError with the closure's reason.
     """
     require_admissible(g)
     n = g.rank
+    if n < 1:
+        raise RankTooSmallError(n, 1)
     if n > RANK_CAP:
         raise RankCapExceededError(n, RANK_CAP)
     points = [generator_rho(g, s).point_images() for s in g.labels]
+    index = {s: k for k, s in enumerate(g.labels)}
+    invs = [tuple(index[g.involutions[s][t]] for t in g.labels) for s in g.labels]
     try:
-        images, words, step, coords = _closure(
-            points, g.labels, [itemgetter(*p) for p in points])
+        images, words, step, coords = _vertex_closure(g.labels, points, invs)
     except NotACubeGroupError as exc:
         raise InternalConsistencyError(
             f"an admissible graph did not generate a cube group: {exc.reason}"
@@ -236,14 +247,65 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     elements = images  # decoded in place: each tuple is freed once its matrix is built
     for i, x in enumerate(images):
         elements[i] = GroupElement(i, SignedPermutation._from_point_images(g.labels, x), words[i])
-    index_of = {e.matrix: e.index for e in elements}
-    return CubeGroup(g, elements, index_of, step, coords)
+    return CubeGroup(g, elements, step, coords)
+
+
+def _vertex_closure(labels, points, invs):
+    """What `_closure` returns, for point-image generators ``points`` whose
+    graph involutions are ``invs`` (tuples of label indices).  Each product
+    is filed at the cube vertex the graph predicts: x with perm part p and
+    mask c has ``x * rho_k`` at perm part ``p o j_k`` and mask
+    ``c ^ (1 << p[k])``.
+
+    Raises NotACubeGroupError when a product is not the element already at
+    its predicted vertex, or when two vertices hold the same element.  Both
+    checks passed certify the table as the n-cube with the masks as
+    coordinates: each column flips one bit, the bits p[k] at a vertex are
+    distinct, and masks map one-to-one onto elements.
+    """
+    n = len(labels)
+    rights = [itemgetter(*q) for q in points]
+    # itemgetter of one index returns the item; the rank-1 perm part is (0,)
+    composes = [itemgetter(*j) for j in invs] if n > 1 else [tuple]
+    elements = [tuple(range(2 * n))]
+    perms = [tuple(range(n))]
+    coords = [0]
+    words = [()]
+    at = [None] * (1 << n)  # vertex mask -> element index
+    at[0] = 0
+    step = []
+    for i, m in enumerate(elements):  # the list grows while it is walked
+        p, c = perms[i], coords[i]
+        row = []
+        for s, right, compose, q in zip(labels, rights, composes, p):
+            x = right(m)
+            v = c ^ (1 << q)
+            j = at[v]
+            if j is None:
+                j = at[v] = len(elements)
+                elements.append(x)
+                perms.append(compose(p))
+                coords.append(v)
+                words.append((s,) + words[i])
+            elif elements[j] != x:
+                raise NotACubeGroupError(
+                    f"the product of element {i} by {s!r} is not element {j},"
+                    f" the one at its predicted vertex {v}"
+                )
+            row.append(j)
+        step.append(tuple(row))
+    if len(set(elements)) != len(elements):
+        raise NotACubeGroupError("two vertices hold the same element")
+    return elements, words, step, coords
 
 
 def _closure(generators, labels, rights):
     """BFS closure of n labeled involutive generators, certified as a cube group.
 
-    ``rights[k](m)`` is the product ``m * generators[k]``.  Returns
+    The generic closure, for `decorated_graph_from_group`, which has no graph
+    to predict cube vertices from until the table is certified; it is also
+    the test oracle of `_vertex_closure`.  ``rights[k](m)`` is the product
+    ``m * generators[k]``.  Returns
     ``(elements, words, step, coords)``: the elements in discovery order
     (identity first, then label order), a shortest generator word per element
     (applied-first order, element k is ``rights[j](elements[i])`` with word
@@ -374,7 +436,7 @@ def standard_subgroup(G: CubeGroup, subset) -> CubeGroup:
 
     Raises UnknownLabelError for a label not in G, NotStandardError naming
     the involution that maps T out of itself, and RankTooSmallError (from
-    the closure) for an empty subset.
+    `generate_group`) for an empty subset.
     """
     subset = set(subset)
     try:

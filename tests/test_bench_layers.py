@@ -77,9 +77,11 @@ def test_traced_run_counts_the_closure():
 
 
 def test_traced_closure_r12_counts_both_groups():
-    """A traced closure-r12 pass builds two rank-12 groups; the tracer counts
-    each group's 4096 elements twice, from the closure's element list and from
-    the built group's order."""
+    """A traced closure-r12 pass builds two rank-12 groups through
+    `generate_group`, which does not call the generic closure `_closure`, so
+    the tracer counts each group's 4096 elements once, from the built group's
+    order."""
     metrics = _traced_run("closure-r12")
-    assert metrics["group._closure.calls"]["value"] == 2
-    assert metrics["group.elements"]["value"] == 2 * 2 * 4096
+    assert metrics["group._closure.calls"]["value"] == 0
+    assert metrics["group.generate_group.calls"]["value"] == 2
+    assert metrics["group.elements"]["value"] == 2 * 4096

@@ -303,3 +303,27 @@ def test_public_constructor_copies_the_involutions():
 def test_bad_labels_rejected(label):
     with pytest.raises(ValueError, match="bad label"):
         graph_from((label, "z"))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_restriction_equals_the_validated_graph(rank):
+    """`restricted` skips re-validation; its result must equal the validated
+    construction of the restricted maps and own its involution dicts."""
+    restricted = 0
+    for g in enumerate_decorated_graphs(rank):
+        if not admissible_quick(g):
+            continue
+        for size in range(rank + 1):
+            for T in itertools.combinations(g.labels, size):
+                invariant = all(g.involutions[s][t] in T for s in T for t in T)
+                if not invariant:
+                    with pytest.raises(ValueError, match="is not invariant under"):
+                        g.restricted(T)
+                    continue
+                sub = g.restricted(T)
+                assert sub == DecoratedGraph(T, {s: {t: g.involutions[s][t] for t in T} for s in T})
+                mine = {id(j) for j in sub.involutions.values()} | {id(sub.involutions)}
+                theirs = {id(j) for j in g.involutions.values()} | {id(g.involutions)}
+                assert not mine & theirs
+                restricted += 1
+    assert restricted > 0

@@ -1,8 +1,11 @@
 import itertools
 import random
+from collections import Counter
+from operator import itemgetter
 
 import pytest
 
+from cubegroups import group
 from cubegroups.errors import (
     DuplicateLabelError,
     NotACubeGroupError,
@@ -24,7 +27,7 @@ from cubegroups.group import (
     word_matrix,
 )
 from cubegroups.signedperm import Perm, SignedPermutation
-from cubegroups.sweep import enumerate_decorated_graphs
+from cubegroups.sweep import _admissible_graphs, enumerate_decorated_graphs
 
 from conftest import graph_from
 
@@ -260,6 +263,14 @@ class TestGenerateGroup:
         assert bac == rho["a"]
 
 
+def rank5_plus_d4(rank5):
+    """The rank-5 fixture plus a disjoint D4: j_s is the identity outside
+    the component of s, so the union is admissible."""
+    swaps = {s: [(u, v) for u, v in rank5.involutions[s].items() if u < v]
+             for s in rank5.labels}
+    return graph_from("abcdefgh", {**swaps, "f": [("g", "h")]})
+
+
 def admissible_groups(rank):
     for g in enumerate_decorated_graphs(rank):
         if admissible_quick(g):
@@ -278,11 +289,7 @@ class TestCayleyTable:
                     assert G.step[j][k] == i
 
     def test_non_abelian_rank8_union(self, rank5):
-        # the rank-5 fixture plus a disjoint D4: j_s is the identity outside
-        # the component of s, so the union is admissible
-        swaps = {s: [(u, v) for u, v in rank5.involutions[s].items() if u < v]
-                 for s in rank5.labels}
-        g = graph_from("abcdefgh", {**swaps, "f": [("g", "h")]})
+        g = rank5_plus_d4(rank5)
         G = generate_group(g)
         assert G.order == 2 ** 8
         rho = [generator_rho(g, s) for s in g.labels]
@@ -547,3 +554,80 @@ class TestDecoratedGraphFromGroup:
                 gens, g.labels, SignedPermutation.compose
             ) == g
             assert G.order == 2 ** rank
+
+
+def _vertex_closure_inputs(g):
+    points = [generator_rho(g, s).point_images() for s in g.labels]
+    invs = [tuple(g.labels.index(g.involutions[s][t]) for t in g.labels) for s in g.labels]
+    return points, invs
+
+
+class TestVertexClosure:
+    """`generate_group`'s closure files each product at its predicted cube
+    vertex; the generic closure plus the cube certificate is its oracle."""
+
+    @staticmethod
+    def _oracle_graphs(rank5):
+        for rank in range(1, 6):
+            for _, g in _admissible_graphs(rank):
+                yield g
+        yield graph_from("abcdefghijkl")
+        yield rank5_plus_d4(rank5)
+
+    def test_matches_the_generic_closure(self, rank5):
+        checked = Counter()
+        for g in self._oracle_graphs(rank5):
+            points, invs = _vertex_closure_inputs(g)
+            rights = [itemgetter(*p) for p in points]
+            expected = group._closure(points, g.labels, rights)
+            assert group._vertex_closure(g.labels, points, invs) == expected
+            checked[g.rank] += 1
+        assert checked == {1: 1, 2: 1, 3: 4, 4: 22, 5: 236, 8: 1, 12: 1}
+
+    def test_generate_group_skips_the_generic_closure(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("generate_group must not run the generic closure")
+
+        products = Counter()
+
+        def counting_itemgetter(*items):
+            get = itemgetter(*items)
+
+            def call(m):
+                products[len(items)] += 1
+                return get(m)
+
+            return call
+
+        monkeypatch.setattr(group, "_closure", forbidden)
+        monkeypatch.setattr(group, "_cube_certificate", forbidden)
+        monkeypatch.setattr(group, "itemgetter", counting_itemgetter)
+        n = 12
+        G = generate_group(graph_from("abcdefghijkl"))
+        assert G.order == 2 ** n
+        # getters of 2n point images are the right multiplications
+        assert 0 < products[2 * n] <= n * 2 ** n + 2 * n + 1
+
+    def test_product_off_its_predicted_vertex(self, d4):
+        # D4's generator matrices under the abelian graph: the graph predicts
+        # that the generators commute, and they do not
+        points, _ = _vertex_closure_inputs(d4)
+        invs = [(0, 1, 2)] * 3
+        with pytest.raises(NotACubeGroupError, match="is not element .*, the one at its predicted vertex"):
+            group._vertex_closure(d4.labels, points, invs)
+
+    def test_two_vertices_hold_one_element(self):
+        # three involutions of a Klein four-group under the abelian rank-3
+        # graph: every product lands where predicted, but the closure has
+        # only 4 distinct elements on 8 vertices
+        labels = ("a", "b", "c")
+        points = [SignedPermutation(labels, (0, 1, 2), signs).point_images()
+                  for signs in ((-1, 1, 1), (1, -1, 1), (-1, -1, 1))]
+        invs = [(0, 1, 2)] * 3
+        with pytest.raises(NotACubeGroupError, match="two vertices hold the same element"):
+            group._vertex_closure(labels, points, invs)
+
+    def test_index_of_is_built_on_first_use(self, rank5):
+        G = generate_group(rank5)
+        assert "index_of" not in vars(G)
+        assert [G.index_of[e.matrix] for e in G.elements] == list(range(G.order))

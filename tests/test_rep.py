@@ -163,7 +163,7 @@ class TestFormulaAndFold:
         monkeypatch.setattr(group, "generator_rho", self._corrupt_a_at("c"))
         failures = verify_graph(rank5)
         assert [check for check, _ in failures] == ["generate"]
-        assert "closure has more than 32 elements" in failures[0][1]
+        assert "the product of element 2 by 'c' is not element 8" in failures[0][1]
 
     def test_corrupted_table_entry_is_caught(self, d4):
         G = generate_group(d4)
