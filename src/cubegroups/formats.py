@@ -32,7 +32,6 @@ from .errors import (
     NotInvolutionError,
     ParseError,
     SelfCycleError,
-    UnknownLabelError,
 )
 from .graphs import DecoratedGraph, validate_label
 from .group import CubeGroup

@@ -3,11 +3,12 @@
 An admissible decorated graph of rank n generates a group of 2^n signed
 permutations (the geometric images of the group elements).  The closure's
 right-multiplication table is its labeled Cayley graph, which must be the
-1-skeleton of the n-cube.  `generate_group` files each product at the cube
-vertex (a bitmask in {0,1}^n) the graph predicts for it, which certifies
-this as the closure runs.  The reverse construction has no graph yet, so its
-generic closure runs one certificate on the table: it assigns each vertex a
-bitmask breadth-first and checks adjacency against Hamming distance 1.
+1-skeleton of the n-cube.  `generate_group` numbers each element by its
+cube vertex (the bitmask in {0,1}^n of the coordinates it negates), which
+certifies this as the closure runs.  The reverse construction has no graph
+yet, so its generic closure runs one certificate on the table: it assigns
+each vertex a bitmask breadth-first and checks adjacency against Hamming
+distance 1.
 """
 
 from __future__ import annotations
@@ -147,25 +148,24 @@ def word_matrix(g: DecoratedGraph, word) -> SignedPermutation:
 
 @dataclass(frozen=True)
 class GroupElement:
-    index: int
+    index: int  # the element's cube vertex
     matrix: SignedPermutation
-    word: tuple[str, ...]  # a shortest generator word, applied-first order
 
 
 @dataclass
 class CubeGroup:
-    """A generated cube group with its Cayley graph and vertex indexing.
+    """A generated cube group, numbered by cube vertex, with its Cayley graph.
 
-    ``step`` is the group's right multiplication and its labeled Cayley
-    graph: ``step[i][k]`` is the index of ``elements[i] * rho(labels[k])``,
-    the Cayley neighbour of i along ``labels[k]``.  ``coords[i]`` is element
-    i's cube coordinate bitmask, whose bit k is ``labels[k]``.
+    The group acts simply transitively on the cube's vertices, so
+    ``elements[i]`` is the one whose matrix negates coordinate ``labels[k]``
+    of (1, ..., 1) exactly when bit k of i is set.  ``step[i][k]`` is the
+    index of ``elements[i] * rho(labels[k])``: right multiplication, and the
+    labeled Cayley graph, whose edges flip one bit.
     """
 
     graph: DecoratedGraph
     elements: list[GroupElement]
     step: list[tuple[int, ...]]
-    coords: list[int]
 
     @property
     def rank(self) -> int:
@@ -177,9 +177,9 @@ class CubeGroup:
 
     @cached_property
     def subsets(self) -> list[frozenset[str]]:
-        """Element index -> vertex subset T: the labels of its coordinate bits."""
+        """Element index -> vertex subset T: the labels of its index bits."""
         labels = self.graph.labels
-        return [frozenset(s for k, s in enumerate(labels) if c >> k & 1) for c in self.coords]
+        return [frozenset(s for k, s in enumerate(labels) if i >> k & 1) for i in range(self.order)]
 
     @cached_property
     def cayley(self) -> LabeledGraph:
@@ -191,16 +191,15 @@ class CubeGroup:
         return LabeledGraph(tuple(range(self.order)), tuple(edges))
 
     @cached_property
-    def index_of(self) -> dict[SignedPermutation, int]:
-        """Matrix -> element index, built on first use."""
-        return {e.matrix: e.index for e in self.elements}
-
-    @cached_property
     def _label_index(self) -> dict[str, int]:
         return {s: k for k, s in enumerate(self.graph.labels)}
 
     def element_for_matrix(self, m: SignedPermutation) -> GroupElement:
-        return self.elements[self.index_of[m]]
+        """The element whose matrix is m; KeyError when m is not in the group."""
+        i = sum(1 << p for p, s in zip(m.perm, m.signs) if s < 0)  # the coordinates m negates
+        if i >= self.order or self.elements[i].matrix != m:
+            raise KeyError(m)
+        return self.elements[i]
 
     def element_for_word(self, word) -> GroupElement:
         """The element of a word in applied-first order: a walk from the
@@ -214,20 +213,31 @@ class CubeGroup:
             raise UnknownLabelError(next(s for s in word if s not in pos)) from None
         return self.elements[i]
 
+    def word(self, i: int) -> tuple[str, ...]:
+        """A shortest generator word of element i, in applied-first order:
+        the descent from vertex i that takes, at each step, the first label
+        whose neighbour clears a bit, so one letter per set bit of i."""
+        labels, step, word = self.graph.labels, self.step, []
+        while i:
+            k, i = next((k, j) for k, j in enumerate(step[i]) if j < i)
+            word.append(labels[k])
+        return tuple(word)
+
     def multiply(self, i: int, k: int) -> int:
-        return self.index_of[self.elements[i].matrix.compose(self.elements[k].matrix)]
+        product = self.elements[i].matrix.compose(self.elements[k].matrix)
+        return self.element_for_matrix(product).index
 
 
 def generate_group(g: DecoratedGraph) -> CubeGroup:
-    """Breadth-first closure of the generator matrices over their predicted cube vertices.
+    """Breadth-first closure of the generator matrices, numbered by cube vertex.
 
     The closure multiplies the matrices' images of the 2n points +-e_t, one
-    `itemgetter` call per product, and files each product at the cube vertex
-    the graph predicts for it (`_vertex_closure`), which certifies the table
-    as the n-cube as it goes; then it decodes each of the 2^n elements once.
-    Deterministic label-order BFS gives reproducible shortest witness words.
-    An admissible graph always generates a cube group, so a closure that is
-    not one raises InternalConsistencyError with the closure's reason.
+    `itemgetter` call per product, and stores each product at the cube
+    vertex read from the element it multiplies (`_vertex_closure`), which
+    certifies the table as the n-cube as it goes; then it decodes each of
+    the 2^n elements once.  An admissible graph always generates a cube
+    group, so a closure that is not one raises InternalConsistencyError with
+    the closure's reason.
     """
     require_admissible(g)
     n = g.rank
@@ -236,84 +246,73 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     if n > RANK_CAP:
         raise RankCapExceededError(n, RANK_CAP)
     points = [generator_rho(g, s).point_images() for s in g.labels]
-    index = {s: k for k, s in enumerate(g.labels)}
-    invs = [tuple(index[g.involutions[s][t]] for t in g.labels) for s in g.labels]
     try:
-        images, words, step, coords = _vertex_closure(g.labels, points, invs)
+        elements, step = _vertex_closure(g.labels, points)
     except NotACubeGroupError as exc:
         raise InternalConsistencyError(
             f"an admissible graph did not generate a cube group: {exc.reason}"
         ) from exc
-    elements = images  # decoded in place: each tuple is freed once its matrix is built
-    for i, x in enumerate(images):
-        elements[i] = GroupElement(i, SignedPermutation._from_point_images(g.labels, x), words[i])
-    return CubeGroup(g, elements, step, coords)
+    # decoded in place by layer, near the order the tuples were made, so their memory is reused
+    for i in sorted(range(1 << n), key=int.bit_count):
+        elements[i] = GroupElement(i, SignedPermutation._from_point_images(g.labels, elements[i]))
+    return CubeGroup(g, elements, step)
 
 
-def _vertex_closure(labels, points, invs):
-    """What `_closure` returns, for point-image generators ``points`` whose
-    graph involutions are ``invs`` (tuples of label indices).  Each product
-    is filed at the cube vertex the graph predicts: x with perm part p and
-    mask c has ``x * rho_k`` at perm part ``p o j_k`` and mask
-    ``c ^ (1 << p[k])``.
+def _vertex_closure(labels, points):
+    """Breadth-first closure of the generators' point images ``points``,
+    stored by cube vertex: returns ``(elements, step)``, where
+    ``elements[c]`` is the point-image tuple at vertex mask c and
+    ``step[c][k]`` is the vertex of ``elements[c] * rho_k``.  As rho_k
+    negates only e_k and fixes label k, that product negates what x does
+    with bit p(k) toggled, p(k) being read from x's image of the point +e_k.
 
     Raises NotACubeGroupError when a product is not the element already at
-    its predicted vertex, or when two vertices hold the same element.  Both
-    checks passed certify the table as the n-cube with the masks as
-    coordinates: each column flips one bit, the bits p[k] at a vertex are
-    distinct, and masks map one-to-one onto elements.
+    its vertex, or when two vertices hold the same element.  Both checks
+    passed certify the table as the n-cube with the masks as coordinates:
+    each column flips one bit, the bits p(k) at a vertex are distinct, and
+    masks map one-to-one onto elements.
     """
     n = len(labels)
     rights = [itemgetter(*q) for q in points]
-    # itemgetter of one index returns the item; the rank-1 perm part is (0,)
-    composes = [itemgetter(*j) for j in invs] if n > 1 else [tuple]
-    elements = [tuple(range(2 * n))]
-    perms = [tuple(range(n))]
-    coords = [0]
-    words = [()]
-    at = [None] * (1 << n)  # vertex mask -> element index
-    at[0] = 0
-    step = []
-    for i, m in enumerate(elements):  # the list grows while it is walked
-        p, c = perms[i], coords[i]
+    flip = [1 << (q >> 1) for q in range(2 * n)]  # image of +e_k -> bit p(k)
+    vertex = list(range(1 << n))  # one int object per vertex, shared by the rows
+    elements = [None] * (1 << n)
+    elements[0] = tuple(range(2 * n))
+    step = [None] * (1 << n)
+    queue = [0]
+    for c in queue:  # the queue grows while it is walked
+        m = elements[c]
         row = []
-        for s, right, compose, q in zip(labels, rights, composes, p):
+        for s, right, q in zip(labels, rights, m[::2]):
             x = right(m)
-            v = c ^ (1 << q)
-            j = at[v]
-            if j is None:
-                j = at[v] = len(elements)
-                elements.append(x)
-                perms.append(compose(p))
-                coords.append(v)
-                words.append((s,) + words[i])
-            elif elements[j] != x:
-                raise NotACubeGroupError(
-                    f"the product of element {i} by {s!r} is not element {j},"
-                    f" the one at its predicted vertex {v}"
-                )
-            row.append(j)
-        step.append(tuple(row))
+            v = vertex[c ^ flip[q]]
+            y = elements[v]
+            if y is None:
+                elements[v] = x
+                queue.append(v)
+            elif y != x:
+                raise NotACubeGroupError(f"the product of element {c} by {s!r} is not"
+                                         f" element {v}, the one at its vertex")
+            row.append(v)
+        step[c] = tuple(row)
     if len(set(elements)) != len(elements):
         raise NotACubeGroupError("two vertices hold the same element")
-    return elements, words, step, coords
+    return elements, step
 
 
 def _closure(generators, labels, rights):
     """BFS closure of n labeled involutive generators, certified as a cube group.
 
-    The generic closure, for `decorated_graph_from_group`, which has no graph
-    to predict cube vertices from until the table is certified; it is also
-    the test oracle of `_vertex_closure`.  ``rights[k](m)`` is the product
-    ``m * generators[k]``.  Returns
-    ``(elements, words, step, coords)``: the elements in discovery order
-    (identity first, then label order), a shortest generator word per element
-    (applied-first order, element k is ``rights[j](elements[i])`` with word
-    ``(labels[j],) + words[i]``), the right multiplication table, which is the
-    labeled Cayley graph (``step[i][k]`` is the index of
-    ``rights[k](elements[i])``), and each element's cube coordinate bitmask,
-    whose bit k is ``labels[k]``.  `generators` are hashable values; the
-    identity is obtained by squaring the first one.
+    The generic closure, for `decorated_graph_from_group`, which has no
+    graph, and hence no cube vertices, until the table is certified; it is
+    also the test oracle of `_vertex_closure`.  ``rights[k](m)`` is the
+    product ``m * generators[k]``.  Returns ``(elements, step, coords)``: the
+    elements in discovery order (identity first, then label order), the
+    right multiplication table, which is the labeled Cayley graph
+    (``step[i][k]`` is the index of ``rights[k](elements[i])``), and each
+    element's cube coordinate bitmask, whose bit k is ``labels[k]``.
+    `generators` are hashable values; the identity is obtained by squaring
+    the first one.
 
     Raises NotACubeGroupError unless the closure is a cube group.  The walk
     stops as soon as it finds element 2^n + 1, so it makes at most
@@ -335,9 +334,8 @@ def _closure(generators, labels, rights):
     order = 2 ** len(labels)
     elements = [ident]
     index_of = {ident: 0}
-    words = [()]
     step = []
-    for i, m in enumerate(elements):  # the list grows while it is walked
+    for m in elements:  # the list grows while it is walked
         row = []
         for s, right in zip(labels, rights):
             p = right(m)
@@ -348,7 +346,6 @@ def _closure(generators, labels, rights):
                     raise NotACubeGroupError(f"closure has more than {order} elements")
                 elements.append(p)
                 index_of[p] = k
-                words.append((s,) + words[i])
             row.append(k)
         step.append(tuple(row))
     if len(elements) != order:
@@ -363,7 +360,7 @@ def _closure(generators, labels, rights):
     cube = _cube_certificate(range(order), step)
     if not cube:
         raise NotACubeGroupError(cube.reason)
-    return elements, words, step, [cube.coords[i] for i in range(order)]
+    return elements, step, [cube.coords[i] for i in range(order)]
 
 
 def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> DecoratedGraph:
@@ -387,7 +384,7 @@ def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> De
     for i, s in enumerate(labels):
         if s in labels[:i]:
             raise DuplicateLabelError(s)
-    step = _closure(generators, labels, [lambda m, g=g: mul(m, g) for g in generators])[2]
+    step = _closure(generators, labels, [lambda m, g=g: mul(m, g) for g in generators])[1]
 
     assignments = {s: {s: s} for s in labels}
 

@@ -4,7 +4,8 @@ A signed permutation is the matrix of an orthogonal map sending each basis
 vector e_t to sign(t) * e_{perm(t)}.  All arithmetic is exact integer work;
 instances are frozen and hashable, so a group's elements index a dict.  The
 same map permutes the 2n points +-e_t (`point_images`), the form in which
-group closures multiply.
+`generate_group` multiplies; the images of the points +e_t also give an
+element's cube vertex, the coordinates it negates.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ normal-form, and sign-formula checks on every admissible graph and
 aggregates failures (expected: none).
 Graphs are built without re-validation: the label set is validated once,
 and each involution fixes its own label by construction.  Group
-generation certifies the cube group as it closes it: each product must
-land on the cube vertex the graph predicts.  The sign-formula
+generation certifies the cube group as it closes it: each product must be
+the element at the cube vertex read from its left factor, and the 2^n
+vertices must hold distinct elements.  The sign-formula
 check (`rep.sign_formula_mismatches`) reads the multiplication table that
 closure built: one formula step per element and letter proves, by induction
 on word length, that the formula equals the matrix fold on every word.

@@ -206,7 +206,8 @@ class TestGenerateGroup:
     def test_rank1_order_2(self, rank1):
         G = generate_group(rank1)
         assert G.order == 2
-        assert G.elements[1].word == ("a",)
+        assert G.elements[1].index == 1
+        assert G.word(1) == ("a",)
 
     def test_rejects_non_admissible(self, bad_rank3):
         with pytest.raises(NotAdmissibleError):
@@ -230,23 +231,25 @@ class TestGenerateGroup:
             G = generate_group(g)
             assert len({e.matrix for e in G.elements}) == 2 ** g.rank
 
-    def test_witness_word_lengths_are_distances(self, d4):
-        G = generate_group(d4)
-        # BFS distance oracle on the Cayley graph
-        adj = G.cayley.adjacency()
-        dist = {0: 0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        for e in G.elements:
-            assert len(e.word) == dist[e.index]
-            assert word_matrix(d4, e.word) == e.matrix
+    def test_witness_word_lengths_are_distances(self, d4, rank5):
+        for g in (d4, rank5):
+            G = generate_group(g)
+            # BFS distance oracle on the Cayley graph
+            adj = G.cayley.adjacency()
+            dist = {0: 0}
+            frontier = [0]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    for v in adj[u]:
+                        if v not in dist:
+                            dist[v] = dist[u] + 1
+                            nxt.append(v)
+                frontier = nxt
+            for e in G.elements:
+                word = G.word(e.index)
+                assert len(word) == dist[e.index] == e.index.bit_count()
+                assert word_matrix(g, word) == e.matrix
 
     def test_relator_matrices_are_identity(self, rank5):
         for u, v in seed_pairs(rank5):
@@ -285,7 +288,7 @@ class TestCayleyTable:
             for i, e in enumerate(G.elements):
                 for k in range(rank):
                     j = G.step[i][k]
-                    assert j == G.index_of[e.matrix.compose(rho[k])]
+                    assert j == G.element_for_matrix(e.matrix.compose(rho[k])).index
                     assert G.step[j][k] == i
 
     def test_non_abelian_rank8_union(self, rank5):
@@ -294,9 +297,9 @@ class TestCayleyTable:
         assert G.order == 2 ** 8
         rho = [generator_rho(g, s) for s in g.labels]
         for i, e in enumerate(G.elements):
-            assert e.matrix == word_matrix(g, e.word)
+            assert e.matrix == word_matrix(g, G.word(i))
             for k in range(8):
-                assert G.step[i][k] == G.index_of[e.matrix.compose(rho[k])]
+                assert G.step[i][k] == G.element_for_matrix(e.matrix.compose(rho[k])).index
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_edges_are_the_table(self, rank):
@@ -333,8 +336,7 @@ class TestCayleyTable:
     def test_edge_list_certifies_like_the_table(self, rank):
         for g, G in admissible_groups(rank):
             assert "cayley" not in vars(G)  # the edge list is built on first use only
-            cube = is_hypercube(G.cayley)
-            assert [cube.coords[i] for i in range(G.order)] == G.coords
+            assert is_hypercube(G.cayley).coords == {i: i for i in range(G.order)}
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_subsets_are_the_negated_coordinates(self, rank):
@@ -556,15 +558,56 @@ class TestDecoratedGraphFromGroup:
             assert G.order == 2 ** rank
 
 
-def _vertex_closure_inputs(g):
-    points = [generator_rho(g, s).point_images() for s in g.labels]
-    invs = [tuple(g.labels.index(g.involutions[s][t]) for t in g.labels) for s in g.labels]
-    return points, invs
+class TestVertexNumbering:
+    """Each element's index is its cube vertex: the bitmask of the
+    coordinates its matrix negates in the image of (1, ..., 1)."""
+
+    def test_index_is_the_negated_image_mask(self):
+        graphs = [g for rank in range(1, 6) for _, g in _admissible_graphs(rank)]
+        for g in graphs + [graph_from("abcdefghijkl")]:
+            for e in generate_group(g).elements:
+                m = e.matrix
+                assert e.index == sum(1 << p for p, s in zip(m.perm, m.signs) if s == -1)
+
+    def test_element_for_matrix_finds_exactly_the_members(self, d4):
+        G = generate_group(d4)
+        members = {e.matrix for e in G.elements}
+        outside = 0
+        for perm in itertools.permutations(range(3)):
+            for signs in itertools.product((1, -1), repeat=3):
+                m = SignedPermutation(d4.labels, perm, signs)
+                if m in members:
+                    assert G.element_for_matrix(m).matrix == m
+                else:
+                    outside += 1
+                    with pytest.raises(KeyError):
+                        G.element_for_matrix(m)
+        assert outside == 48 - 8
+
+    def test_element_for_matrix_rejects_other_label_sets(self, d4):
+        G = generate_group(d4)
+        for e in G.elements:
+            with pytest.raises(KeyError):
+                G.element_for_matrix(SignedPermutation(tuple("xyz"), e.matrix.perm, e.matrix.signs))
+        with pytest.raises(KeyError):  # its vertex lies past the group's
+            G.element_for_matrix(SignedPermutation(tuple("abcd"), (0, 1, 2, 3), (1, 1, 1, -1)))
+
+    def test_multiply_folds_the_word_of_its_right_factor(self, d4, rank5):
+        for g in (d4, rank5):
+            G = generate_group(g)
+            pos = {s: k for k, s in enumerate(g.labels)}
+            for i in range(G.order):
+                for k in range(G.order):
+                    j = i
+                    for s in reversed(G.word(k)):
+                        j = G.step[j][pos[s]]
+                    assert G.multiply(i, k) == j
 
 
 class TestVertexClosure:
-    """`generate_group`'s closure files each product at its predicted cube
-    vertex; the generic closure plus the cube certificate is its oracle."""
+    """`generate_group`'s closure stores each product at the cube vertex read
+    from the element it multiplies; the generic closure plus the cube
+    certificate is its oracle."""
 
     @staticmethod
     def _oracle_graphs(rank5):
@@ -577,10 +620,13 @@ class TestVertexClosure:
     def test_matches_the_generic_closure(self, rank5):
         checked = Counter()
         for g in self._oracle_graphs(rank5):
-            points, invs = _vertex_closure_inputs(g)
+            points = [generator_rho(g, s).point_images() for s in g.labels]
             rights = [itemgetter(*p) for p in points]
-            expected = group._closure(points, g.labels, rights)
-            assert group._vertex_closure(g.labels, points, invs) == expected
+            elements, step, coords = group._closure(points, g.labels, rights)
+            by_vertex, vertex_step = group._vertex_closure(g.labels, points)
+            assert [by_vertex[c] for c in coords] == elements
+            assert [vertex_step[c] for c in coords] == [
+                tuple(coords[j] for j in row) for row in step]
             checked[g.rank] += 1
         assert checked == {1: 1, 2: 1, 3: 4, 4: 22, 5: 236, 8: 1, 12: 1}
 
@@ -609,25 +655,27 @@ class TestVertexClosure:
         assert 0 < products[2 * n] <= n * 2 ** n + 2 * n + 1
 
     def test_product_off_its_predicted_vertex(self, d4):
-        # D4's generator matrices under the abelian graph: the graph predicts
-        # that the generators commute, and they do not
-        points, _ = _vertex_closure_inputs(d4)
-        invs = [(0, 1, 2)] * 3
-        with pytest.raises(NotACubeGroupError, match="is not element .*, the one at its predicted vertex"):
-            group._vertex_closure(d4.labels, points, invs)
+        # D4's generators with rho_a negating b instead of a: rho_a then
+        # squares to -1 on b and c, but rho_a * rho_a is read as toggling the
+        # image of a, so it is filed at vertex 1 ^ 1 = 0, the identity's
+        labels = d4.labels
+        negated = {"a": "b", "b": "b", "c": "c"}
+        points = [
+            SignedPermutation.from_maps(
+                labels, d4.involutions[s], {t: -1 if t == negated[s] else 1 for t in labels}
+            ).point_images()
+            for s in labels
+        ]
+        with pytest.raises(NotACubeGroupError, match="the product of element 1 by 'a' is not"
+                           " element 0, the one at its vertex"):
+            group._vertex_closure(labels, points)
 
     def test_two_vertices_hold_one_element(self):
-        # three involutions of a Klein four-group under the abelian rank-3
-        # graph: every product lands where predicted, but the closure has
-        # only 4 distinct elements on 8 vertices
+        # three diagonal involutions of a Klein four-group: every product
+        # lands where the vertex rule says, but the closure has only 4
+        # distinct elements on 8 vertices
         labels = ("a", "b", "c")
         points = [SignedPermutation(labels, (0, 1, 2), signs).point_images()
                   for signs in ((-1, 1, 1), (1, -1, 1), (-1, -1, 1))]
-        invs = [(0, 1, 2)] * 3
         with pytest.raises(NotACubeGroupError, match="two vertices hold the same element"):
-            group._vertex_closure(labels, points, invs)
-
-    def test_index_of_is_built_on_first_use(self, rank5):
-        G = generate_group(rank5)
-        assert "index_of" not in vars(G)
-        assert [G.index_of[e.matrix] for e in G.elements] == list(range(G.order))
+            group._vertex_closure(labels, points)
