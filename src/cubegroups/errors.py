@@ -84,12 +84,6 @@ class InternalConsistencyError(CubeGroupError):
     """A structural guarantee failed; indicates a bug, never expected for valid inputs."""
 
 
-class IllDefinedInvolutionError(InternalConsistencyError):
-    def __init__(self, label, detail):
-        super().__init__(f"conflicting involution readings for {label!r}: {detail}")
-        self.label = label
-
-
 class ParseError(CubeGroupError):
     def __init__(self, message, line=None):
         loc = f" (line {line})" if line is not None else ""

@@ -17,7 +17,9 @@ Permutation-group file grammar::
     b = (1 2)(3 4)
 
 Each line declares one involutive generator as a permutation of positive
-integers in cycle notation.
+integers in cycle notation.  The points the cycles move are numbered 0, 1, ...
+in increasing order; fixed points do not change the group, so the degree is
+the number of moved points, however large the points are.
 
 In both grammars a label is any token `graphs.validate_label` accepts; a
 label it rejects is a ParseError at its line.
@@ -168,7 +170,8 @@ def parse_perm_group(doc: str) -> tuple[tuple[str, ...], list[Perm]]:
         if name in labels:
             raise ParseError(f"duplicate generator label {name!r}", lineno)
         labels.append(name)
-    degree = max((p for _, _, cycles in entries for c in cycles for p in c), default=1)
+    moved = sorted({p for _, _, cycles in entries for c in cycles for p in c})
+    number = {p: i for i, p in enumerate(moved)}
     perms = []
     for lineno, name, cycles in entries:
         seen = set()
@@ -178,7 +181,7 @@ def parse_perm_group(doc: str) -> tuple[tuple[str, ...], list[Perm]]:
             if set(c) & seen:
                 raise NonDisjointCyclesError(f"point moved twice in {name!r}", lineno)
             seen |= set(c)
-        perm = Perm.from_cycles(degree, [tuple(p - 1 for p in c) for c in cycles])
+        perm = Perm.from_cycles(len(moved), [tuple(number[p] for p in c) for c in cycles])
         if perm.is_identity or not (perm * perm).is_identity:
             raise NotInvolutionError(name)
         perms.append(perm)

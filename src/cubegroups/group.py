@@ -8,19 +8,18 @@ cube vertex (the bitmask in {0,1}^n of the coordinates it negates), which
 certifies this as the closure runs.  The reverse construction has no graph
 yet, so its generic closure runs one certificate on the table: it assigns
 each vertex a bitmask breadth-first and checks adjacency against Hamming
-distance 1.
+distance 1.  The graph is then read off those coordinates: j_s(t) is the
+label of the bit that letter t flips at the vertex of rho_s.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
 from .errors import (
     DuplicateLabelError,
-    IllDefinedInvolutionError,
     InternalConsistencyError,
     NotACubeGroupError,
     NotAdmissibleError,
@@ -30,7 +29,7 @@ from .errors import (
     RankTooSmallError,
     UnknownLabelError,
 )
-from .graphs import DecoratedGraph, require_admissible
+from .graphs import DecoratedGraph, require_admissible, validate_label
 from .signedperm import SignedPermutation
 
 RANK_CAP = 20  # bitmask vertex indexing
@@ -237,14 +236,15 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     certifies the table as the n-cube as it goes; then it decodes each of
     the 2^n elements once.  An admissible graph always generates a cube
     group, so a closure that is not one raises InternalConsistencyError with
-    the closure's reason.
+    the closure's reason.  The rank is bounded before the admissibility
+    check, whose cost is cubic in it.
     """
-    require_admissible(g)
     n = g.rank
     if n < 1:
         raise RankTooSmallError(n, 1)
     if n > RANK_CAP:
         raise RankCapExceededError(n, RANK_CAP)
+    require_admissible(g)
     points = [generator_rho(g, s).point_images() for s in g.labels]
     try:
         elements, step = _vertex_closure(g.labels, points)
@@ -367,13 +367,18 @@ def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> De
     """Extract the decorated graph from involutive generators of a cube group.
 
     Works with any multiplication oracle over hashable, equality-comparable
-    elements.  More than RANK_CAP generators are rejected before any product
-    is made.  The closure generates the group and certifies it as a cube
-    group, stopping past 2^n elements; only its multiplication table (the
-    Cayley graph) is read here.  Each involution j_s is read off the unique
-    4-cycle at the identity through each pair of generator edges: a cyclic
-    label reading (t1, t2, t3, t4) contributes j_{t2}(t1) = t3 in both
-    directions.
+    elements.  More than RANK_CAP generators, a repeated label or a bad label
+    are rejected before any product is made.  The closure generates the group
+    and certifies it as a cube group, stopping past 2^n elements; only its
+    multiplication table (the Cayley graph) and cube coordinates are read
+    here, with no further product.
+
+    A cube automorphism fixing a vertex and each of its neighbours is the
+    identity, so the certificate's coordinates (identity at 0, generator k
+    at bit k) are the only ones, and in them letter t applied at rho_s moves
+    along axis j_s(t), as j_s is the permutation part of rho_s.  For a group
+    each map read so is an involution; for another oracle a map that is not,
+    or a graph that is not admissible, raises NotACubeGroupError.
     """
     labels = tuple(labels)
     generators = list(generators)
@@ -382,35 +387,18 @@ def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> De
     if len(labels) > RANK_CAP:
         raise RankCapExceededError(len(labels), RANK_CAP)
     for i, s in enumerate(labels):
+        validate_label(s)
         if s in labels[:i]:
             raise DuplicateLabelError(s)
-    step = _closure(generators, labels, [lambda m, g=g: mul(m, g) for g in generators])[1]
-
-    assignments = {s: {s: s} for s in labels}
-
-    def record(s, u, v):
-        j = assignments[s]
-        for a, b in ((u, v), (v, u)):
-            if j.setdefault(a, b) != b:
-                raise IllDefinedInvolutionError(s, f"j_{s}({a}) read as both {j[a]} and {b}")
-
-    for (k1, s1), (k2, s2) in itertools.combinations(enumerate(labels), 2):
-        g1, g2 = step[0][k1], step[0][k2]
-        across = (set(step[g1]) & set(step[g2])) - {0}
-        if len(across) != 1:
-            raise IllDefinedInvolutionError(s1, f"no unique 4-cycle through edges {s1},{s2}")
-        x = across.pop()
-        # a certified cube has no parallel edges, so each edge has one label
-        reading = (s1, labels[step[g1].index(x)], labels[step[x].index(g2)], s2)
-        for i in range(4):
-            record(reading[(i + 1) % 4], reading[i], reading[(i + 2) % 4])
-    for s in labels:
-        missing = set(labels) - set(assignments[s])
-        if missing:
-            raise IllDefinedInvolutionError(s, f"no reading assigns images for {sorted(missing)}")
-    graph = DecoratedGraph(labels, assignments)
+    _, step, coords = _closure(generators, labels, [lambda m, g=g: mul(m, g) for g in generators])
+    axis = {1 << k: s for k, s in enumerate(labels)}
+    involutions = {s: {t: axis[coords[y] ^ coords[x]] for t, y in zip(labels, step[x])}
+                   for s, x in zip(labels, step[0])}  # x is the vertex of rho_s
     try:
+        graph = DecoratedGraph(labels, involutions)
         require_admissible(graph)
+    except ValueError as exc:
+        raise NotACubeGroupError(f"extracted {exc}") from exc
     except NotAdmissibleError as exc:
         reason = ", ".join(f"{f.seed}:{f.kind}" for f in exc.report.failures)
         raise NotACubeGroupError(

@@ -153,6 +153,14 @@ class TestFromGroup:
         assert main(["from-group", str(path)]) == 0
         assert capsys.readouterr().out == "gens: a b c\na: (b c)\n"
 
+    def test_large_points_give_the_same_graph(self, tmp_path, capsys):
+        # D4_PERMS with points 1, 2, 3, 4 renamed 1, 3, 10**6, 10**6 + 1
+        m = 10 ** 6
+        path = tmp_path / "d4-large.pg"
+        path.write_text(f"a = (1 {m})\nb = (1 3)({m} {m + 1})\nc = (1 {m + 1})(3 {m})\n")
+        assert main(["from-group", str(path)]) == 0
+        assert capsys.readouterr().out == "gens: a b c\na: (b c)\n"
+
     def test_bad_label_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.pg"
         path.write_text("a = (1 2)\nb( = (3 4)\n")

@@ -123,6 +123,13 @@ class TestParsePermGroup:
         assert perms[0].images == (2, 1, 0, 3)
         assert all((p * p).is_identity for p in perms)
 
+    def test_numbers_only_the_moved_points(self):
+        # 1, 3, 10**6 and 10**6 + 1 are numbered 0..3 in increasing order
+        m = 10 ** 6
+        _, perms = parse_perm_group(f"a = (1 {m})\nb = (1 3)({m} {m + 1})\n")
+        assert perms[0].images == (2, 1, 0, 3)
+        assert perms[1].images == (1, 0, 3, 2)
+
     def test_rejects_non_involution(self):
         with pytest.raises(NotInvolutionError):
             parse_perm_group("a = (1 2 3)\n")

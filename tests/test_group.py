@@ -213,6 +213,14 @@ class TestGenerateGroup:
         with pytest.raises(NotAdmissibleError):
             generate_group(bad_rank3)
 
+    def test_rank_cap_before_the_admissibility_check(self, monkeypatch):
+        def fail(g):
+            raise AssertionError("the rank must be bounded before the admissibility check")
+
+        monkeypatch.setattr(group, "require_admissible", fail)
+        with pytest.raises(RankCapExceededError, match="rank 21 exceeds cap 20"):
+            generate_group(graph_from([f"s{i}" for i in range(21)]))
+
     def test_identity_vertex_subset_empty(self, d4):
         G = generate_group(d4)
         assert G.subsets[0] == frozenset()
@@ -482,6 +490,13 @@ class TestDecoratedGraphFromGroup:
             decorated_graph_from_group(gens, ("a", "a"), mul)
         assert products == 0
 
+    def test_bad_label_before_any_product(self):
+        def mul(x, y):
+            raise AssertionError("no product may be made for a bad label")
+
+        with pytest.raises(ValueError, match="bad label"):
+            decorated_graph_from_group([1, 2], ("a", "b c"), mul)
+
     def test_rejects_non_involution(self):
         gens = [Perm.from_cycles(3, [(0, 1)]), Perm((1, 2, 0))]
         with pytest.raises(NotInvolutionError):
@@ -545,17 +560,40 @@ class TestDecoratedGraphFromGroup:
         with pytest.raises(NotACubeGroupError, match="coordinate map is not a bijection"):
             decorated_graph_from_group(gens, ("a", "b", "c"))
 
-    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
     def test_round_trip(self, rank):
-        for g in enumerate_decorated_graphs(rank):
-            if not admissible_quick(g):
-                continue
+        # the pruned search gives the brute-force admissible graphs (test_sweep)
+        for _, g in _admissible_graphs(rank):
             G = generate_group(g)
             gens = [generator_rho(g, s) for s in g.labels]
             assert decorated_graph_from_group(
                 gens, g.labels, SignedPermutation.compose
             ) == g
             assert G.order == 2 ** rank
+
+    def test_round_trip_rank8_union(self, rank5):
+        g = rank5_plus_d4(rank5)
+        gens = [generator_rho(g, s) for s in g.labels]
+        assert decorated_graph_from_group(gens, g.labels, SignedPermutation.compose) == g
+        # the same group acting on the 2n points +-e_t
+        perms = [Perm(m.point_images()) for m in gens]
+        assert decorated_graph_from_group(perms, g.labels) == g
+
+    def test_read_map_that_is_not_an_involution(self):
+        # A magma on the 16 vertex masks of the 4-cube: g_k moves x along
+        # the axis at position k of col[x].  Every column pairs the vertices
+        # and the table is the 4-cube, so the closure and its certificate
+        # pass, but at the vertex of g_c the letters read j_c as a -> d -> b.
+        col = {x: [0, 1, 2, 3] for x in range(16)}
+        col.update({x: [1, 3, 2, 0] for x in (4, 5, 12, 13)})
+        col.update({x: [0, 3, 2, 1] for x in (6, 7, 14, 15)})
+        gen_index = {1 << k: k for k in range(4)}
+
+        def mul(x, g):
+            return x ^ (1 << col[x].index(gen_index[g]))
+
+        with pytest.raises(NotACubeGroupError, match=r"map for 'c' is not an involution \(a->d->b\)"):
+            decorated_graph_from_group([1, 2, 4, 8], tuple("abcd"), mul)
 
 
 class TestVertexNumbering:
