@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .errors import (
     DistinctLabelsRequiredError,
@@ -124,6 +125,17 @@ class DecoratedGraph:
             invs[s] = {t: j[t] for t in keep}
         # type(self), not the module name: a traced run replaces that with a function
         return type(self)._trusted(labels, invs)
+
+
+def j_getters(g: DecoratedGraph) -> list:
+    """One getter per label s, in label order: a sequence indexed by label
+    position goes to the tuple of its entries at j_s(t), t in label order.
+    On a permutation part p it gives the permutation part p∘j_s."""
+    labels = g.labels
+    if len(labels) == 1:
+        return [lambda seq: (seq[0],)]  # itemgetter(0) returns the item itself
+    pos = {t: k for k, t in enumerate(labels)}
+    return [itemgetter(*[pos[g.involutions[s][t]] for t in labels]) for s in labels]
 
 
 class TrajectoryKind(Enum):

@@ -3,13 +3,13 @@
 An admissible decorated graph of rank n generates a group of 2^n signed
 permutations (the geometric images of the group elements).  The closure's
 right-multiplication table is its labeled Cayley graph, which must be the
-1-skeleton of the n-cube.  `generate_group` numbers each element by its
-cube vertex (the bitmask in {0,1}^n of the coordinates it negates), which
-certifies this as the closure runs.  The reverse construction has no graph
-yet, so its generic closure runs one certificate on the table: it assigns
-each vertex a bitmask breadth-first and checks adjacency against Hamming
-distance 1.  The graph is then read off those coordinates: j_s(t) is the
-label of the bit that letter t flips at the vertex of rho_s.
+1-skeleton of the n-cube.  The group acts simply transitively on the cube's
+vertices, so `_vertex_closure`, the one closure both build paths run,
+numbers each element by its cube vertex (the bitmask in {0,1}^n of the
+coordinates it negates), which certifies the table as the cube as it runs.
+The reverse construction first reads the graph off the products of two
+generators: rho_s * rho_t sits at the vertex {s, j_s(t)}, where exactly one
+other such product sits.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     RankTooSmallError,
     UnknownLabelError,
 )
-from .graphs import DecoratedGraph, require_admissible, validate_label
+from .graphs import DecoratedGraph, j_getters, require_admissible, validate_label
 from .signedperm import SignedPermutation
 
 RANK_CAP = 20  # bitmask vertex indexing
@@ -80,25 +80,21 @@ class HypercubeResult:
 
 
 def is_hypercube(lg: LabeledGraph) -> HypercubeResult:
-    """Decide whether a simple graph is the 1-skeleton of a cube: the cube
-    certificate with each vertex's neighbours in sorted order."""
-    adj = lg.adjacency()
-    return _cube_certificate(lg.vertices, {v: sorted(ws) for v, ws in adj.items()})
+    """Decide whether a simple graph is the 1-skeleton of a cube.
 
-
-def _cube_certificate(verts, rows) -> HypercubeResult:
-    """The cube certificate for neighbour rows ``rows[v]`` (a Cayley table is one).
-
-    The first vertex gets coordinate 0 and its i-th neighbour, in row order,
-    bit i; breadth-first, every later vertex gets the OR of its neighbours'
-    coordinates in the previous layer.  On a cube this reconstructs an
-    isomorphism onto {0,1}^n.  The graph passes when every vertex is reached,
-    the coordinate map is a bijection onto {0,1}^n, and each vertex's
-    neighbours are exactly its Hamming-distance-1 coordinates.  That final
-    check certifies the isomorphism outright.  Linear in the number of edges.
+    The first vertex gets coordinate 0 and its i-th neighbour, in sorted
+    order, bit i; breadth-first, every later vertex gets the OR of its
+    neighbours' coordinates in the previous layer.  On a cube this
+    reconstructs an isomorphism onto {0,1}^n.  The graph passes when every
+    vertex is reached, the coordinate map is a bijection onto {0,1}^n, and
+    each vertex's neighbours are exactly its Hamming-distance-1 coordinates.
+    That final check certifies the isomorphism outright.  Linear in the
+    number of edges, after sorting.
     """
+    verts = lg.vertices
     if not verts:
         return HypercubeResult(False, reason="empty graph")
+    rows = {v: sorted(ws) for v, ws in lg.adjacency().items()}
     base = verts[0]
     n = len(rows[base])
     if len(verts) != 2 ** n:
@@ -231,13 +227,12 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     """Breadth-first closure of the generator matrices, numbered by cube vertex.
 
     The closure multiplies the matrices' images of the 2n points +-e_t, one
-    `itemgetter` call per product, and stores each product at the cube
-    vertex read from the element it multiplies (`_vertex_closure`), which
-    certifies the table as the n-cube as it goes; then it decodes each of
-    the 2^n elements once.  An admissible graph always generates a cube
-    group, so a closure that is not one raises InternalConsistencyError with
-    the closure's reason.  The rank is bounded before the admissibility
-    check, whose cost is cubic in it.
+    `itemgetter` call per product, and stores each product at its cube
+    vertex (`_vertex_closure`), which certifies the table as the n-cube as
+    it goes; then it decodes each of the 2^n elements once.  An admissible
+    graph always generates a cube group, so a closure that is not one raises
+    InternalConsistencyError with the closure's reason.  The rank is bounded
+    before the admissibility check, whose cost is cubic in it.
     """
     n = g.rank
     if n < 1:
@@ -245,9 +240,9 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     if n > RANK_CAP:
         raise RankCapExceededError(n, RANK_CAP)
     require_admissible(g)
-    points = [generator_rho(g, s).point_images() for s in g.labels]
+    rights = [itemgetter(*generator_rho(g, s).point_images()) for s in g.labels]
     try:
-        elements, step = _vertex_closure(g.labels, points)
+        elements, step = _vertex_closure(g, rights, tuple(range(2 * n)))
     except NotACubeGroupError as exc:
         raise InternalConsistencyError(
             f"an admissible graph did not generate a cube group: {exc.reason}"
@@ -258,41 +253,47 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     return CubeGroup(g, elements, step)
 
 
-def _vertex_closure(labels, points):
-    """Breadth-first closure of the generators' point images ``points``,
-    stored by cube vertex: returns ``(elements, step)``, where
-    ``elements[c]`` is the point-image tuple at vertex mask c and
-    ``step[c][k]`` is the vertex of ``elements[c] * rho_k``.  As rho_k
-    negates only e_k and fixes label k, that product negates what x does
-    with bit p(k) toggled, p(k) being read from x's image of the point +e_k.
+def _vertex_closure(g: DecoratedGraph, rights, ident):
+    """Breadth-first closure of the group of graph g, stored by cube vertex.
+
+    ``rights[k](x)`` is the product ``x * rho_k`` (k indexes g's labels) and
+    ``ident`` is the identity.  Returns ``(elements, step)``, where
+    ``elements[c]`` is the element at vertex mask c and ``step[c][k]`` is the
+    vertex of ``elements[c] * rho_k``.  If x sits at mask c with permutation
+    part p, then x * rho_k sits at ``c ^ (1 << p(k))``, as rho_k negates
+    only e_k, and has permutation part p∘j_k.  Each vertex's p is set on its
+    first visit, as the bits ``1 << p(t)`` in label order, and dropped once
+    the vertex is processed.
 
     Raises NotACubeGroupError when a product is not the element already at
     its vertex, or when two vertices hold the same element.  Both checks
     passed certify the table as the n-cube with the masks as coordinates:
-    each column flips one bit, the bits p(k) at a vertex are distinct, and
-    masks map one-to-one onto elements.
+    each column flips one bit, the bits p(k) at a vertex are distinct (p is
+    a permutation), and masks map one-to-one onto elements.
     """
-    n = len(labels)
-    rights = [itemgetter(*q) for q in points]
-    flip = [1 << (q >> 1) for q in range(2 * n)]  # image of +e_k -> bit p(k)
+    n, labels, compose_js = g.rank, g.labels, j_getters(g)
     vertex = list(range(1 << n))  # one int object per vertex, shared by the rows
     elements = [None] * (1 << n)
-    elements[0] = tuple(range(2 * n))
+    elements[0] = ident
+    bits = [None] * (1 << n)  # vertex -> (1 << p(t) for t), from first visit to processing
+    bits[0] = tuple(1 << k for k in range(n))
     step = [None] * (1 << n)
     queue = [0]
     for c in queue:  # the queue grows while it is walked
-        m = elements[c]
+        m, p = elements[c], bits[c]
+        bits[c] = None
         row = []
-        for s, right, q in zip(labels, rights, m[::2]):
+        for right, compose_j, b in zip(rights, compose_js, p):
             x = right(m)
-            v = vertex[c ^ flip[q]]
+            v = vertex[c ^ b]
             y = elements[v]
             if y is None:
                 elements[v] = x
+                bits[v] = compose_j(p)
                 queue.append(v)
-            elif y != x:
-                raise NotACubeGroupError(f"the product of element {c} by {s!r} is not"
-                                         f" element {v}, the one at its vertex")
+            elif y != x:  # the label is the row's next column
+                raise NotACubeGroupError(f"the product of element {c} by {labels[len(row)]!r}"
+                                         f" is not element {v}, the one at its vertex")
             row.append(v)
         step[c] = tuple(row)
     if len(set(elements)) != len(elements):
@@ -301,24 +302,19 @@ def _vertex_closure(labels, points):
 
 
 def _closure(generators, labels, rights):
-    """BFS closure of n labeled involutive generators, certified as a cube group.
+    """Read the decorated graph of n labeled involutive generators off their
+    products of two, then close them with `_vertex_closure`.
 
-    The generic closure, for `decorated_graph_from_group`, which has no
-    graph, and hence no cube vertices, until the table is certified; it is
-    also the test oracle of `_vertex_closure`.  ``rights[k](m)`` is the
-    product ``m * generators[k]``.  Returns ``(elements, step, coords)``: the
-    elements in discovery order (identity first, then label order), the
-    right multiplication table, which is the labeled Cayley graph
-    (``step[i][k]`` is the index of ``rights[k](elements[i])``), and each
-    element's cube coordinate bitmask, whose bit k is ``labels[k]``.
-    `generators` are hashable values; the identity is obtained by squaring
-    the first one.
+    ``rights[k](m)`` is the product ``m * generators[k]``; `generators` are
+    hashable values, and the identity is the square of the first one.
+    Returns ``(elements, graph)``: the elements by cube vertex and the graph.
 
-    Raises NotACubeGroupError unless the closure is a cube group.  The walk
-    stops as soon as it finds element 2^n + 1, so it makes at most
-    n·2^n + 2n + 1 products.  The closure must not end short of 2^n, each
-    table column must pair the elements (an involution without fixed
-    points), and the table must pass the cube certificate.
+    In a cube group, rho_s * rho_t (t != s) sits at the vertex {s, j_s(t)},
+    and an element is fixed by its vertex.  So the n(n-1) products fall into
+    pairs of equal ones with distinct first letters s and u, and then
+    j_s(t) = u.  The graph read must be admissible; the closure then
+    certifies the table as the n-cube.  Raises NotACubeGroupError otherwise,
+    after at most n·2^n + n(n-1) + 2n + 1 products.
     """
     if not generators:
         raise RankTooSmallError(0, 1)
@@ -331,36 +327,31 @@ def _closure(generators, labels, rights):
             raise NotACubeGroupError(f"the square of {labels[0]!r} is not an identity for {s!r}")
         if right(gen) != ident or gen == ident:
             raise NotInvolutionError(s)
-    order = 2 ** len(labels)
-    elements = [ident]
-    index_of = {ident: 0}
-    step = []
-    for m in elements:  # the list grows while it is walked
-        row = []
-        for s, right in zip(labels, rights):
-            p = right(m)
-            k = index_of.get(p)
-            if k is None:
-                k = len(elements)
-                if k == order:
-                    raise NotACubeGroupError(f"closure has more than {order} elements")
-                elements.append(p)
-                index_of[p] = k
-            row.append(k)
-        step.append(tuple(row))
-    if len(elements) != order:
-        raise NotACubeGroupError(f"closure has {len(elements)} elements, expected {order}")
-    for i, row in enumerate(step):
-        for k, j in enumerate(row):
-            if j == i or step[j][k] != i:
-                raise NotACubeGroupError(
-                    f"right multiplication by {labels[k]!r} is not a fixed-point-free involution"
-                )
-    # row 0 of the table is in label order, so coordinate bit k is labels[k]
-    cube = _cube_certificate(range(order), step)
-    if not cube:
-        raise NotACubeGroupError(cube.reason)
-    return elements, step, [cube.coords[i] for i in range(order)]
+    layer2 = {}  # product -> the (s, t) of each rho_s * rho_t equal to it
+    for s, gen in zip(labels, generators):
+        for t, right in zip(labels, rights):
+            if t != s:
+                layer2.setdefault(right(gen), []).append((s, t))
+    involutions = {s: {s: s} for s in labels}
+    for pair in layer2.values():
+        if len(pair) != 2 or pair[0][0] == pair[1][0]:
+            raise NotACubeGroupError("the product of {!r} and {!r} is not on the cube's"
+                                     " second layer".format(*pair[0]))
+        (s, t), (u, w) = pair
+        involutions[s][t] = u
+        involutions[u][w] = s
+    try:
+        graph = DecoratedGraph(labels, involutions)
+        require_admissible(graph)
+    except ValueError as exc:
+        raise NotACubeGroupError(f"extracted {exc}") from exc
+    except NotAdmissibleError as exc:
+        reason = ", ".join(f"{f.seed}:{f.kind}" for f in exc.report.failures)
+        raise NotACubeGroupError(
+            f"extracted decorated graph is not admissible ({reason})"
+        ) from exc
+    elements, _ = _vertex_closure(graph, rights, ident)
+    return elements, graph
 
 
 def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> DecoratedGraph:
@@ -368,17 +359,11 @@ def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> De
 
     Works with any multiplication oracle over hashable, equality-comparable
     elements.  More than RANK_CAP generators, a repeated label or a bad label
-    are rejected before any product is made.  The closure generates the group
-    and certifies it as a cube group, stopping past 2^n elements; only its
-    multiplication table (the Cayley graph) and cube coordinates are read
-    here, with no further product.
-
-    A cube automorphism fixing a vertex and each of its neighbours is the
-    identity, so the certificate's coordinates (identity at 0, generator k
-    at bit k) are the only ones, and in them letter t applied at rho_s moves
-    along axis j_s(t), as j_s is the permutation part of rho_s.  For a group
-    each map read so is an involution; for another oracle a map that is not,
-    or a graph that is not admissible, raises NotACubeGroupError.
+    are rejected before any product is made.  `_closure` reads the graph off
+    the generators' products of two and certifies it by closing the group by
+    cube vertex; for a group each map read is an involution, and for another
+    oracle a map that is not, or a graph that is not admissible, raises
+    NotACubeGroupError.
     """
     labels = tuple(labels)
     generators = list(generators)
@@ -390,20 +375,7 @@ def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> De
         validate_label(s)
         if s in labels[:i]:
             raise DuplicateLabelError(s)
-    _, step, coords = _closure(generators, labels, [lambda m, g=g: mul(m, g) for g in generators])
-    axis = {1 << k: s for k, s in enumerate(labels)}
-    involutions = {s: {t: axis[coords[y] ^ coords[x]] for t, y in zip(labels, step[x])}
-                   for s, x in zip(labels, step[0])}  # x is the vertex of rho_s
-    try:
-        graph = DecoratedGraph(labels, involutions)
-        require_admissible(graph)
-    except ValueError as exc:
-        raise NotACubeGroupError(f"extracted {exc}") from exc
-    except NotAdmissibleError as exc:
-        reason = ", ".join(f"{f.seed}:{f.kind}" for f in exc.report.failures)
-        raise NotACubeGroupError(
-            f"extracted decorated graph is not admissible ({reason})"
-        ) from exc
+    _, graph = _closure(generators, labels, [lambda m, g=g: mul(m, g) for g in generators])
     return graph
 
 

@@ -14,11 +14,10 @@ representation is reducible whenever there are at least two blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .decompose import orbits, perm_image
 from .errors import RankTooSmallError, UnknownLabelError
-from .graphs import DecoratedGraph, require_admissible
+from .graphs import DecoratedGraph, j_getters, require_admissible
 from .group import CubeGroup
 from .signedperm import SignedPermutation
 
@@ -92,14 +91,8 @@ def sign_formula_mismatches(G: CubeGroup) -> list[tuple[str, ...]]:
     fold differ on every reported word.  A non-identity element 0 is
     reported as the empty word.
     """
-    g = G.graph
-    labels = g.labels
-    # one getter per letter: index tuple -> its entries at j_s(t), t in label order
-    if len(labels) == 1:
-        getters = [lambda seq: (seq[0],)]  # itemgetter(0) returns the item itself
-    else:
-        getters = [itemgetter(*[labels.index(g.involutions[s][t]) for t in labels])
-                   for s in labels]
+    labels = G.graph.labels
+    getters = j_getters(G.graph)
     matrices = [e.matrix for e in G.elements]
     if not matrices[0].is_identity:
         return [()]

@@ -78,9 +78,9 @@ def test_traced_run_counts_the_closure():
 
 def test_traced_closure_r12_counts_both_groups():
     """A traced closure-r12 pass builds two rank-12 groups through
-    `generate_group`, which does not call the generic closure `_closure`, so
-    the tracer counts each group's 4096 elements once, from the built group's
-    order."""
+    `generate_group`, which runs `_vertex_closure` directly and never the
+    reverse construction's `_closure`, so the tracer counts each group's 4096
+    elements once, from the built group's order."""
     metrics = _traced_run("closure-r12")
     assert metrics["group._closure.calls"]["value"] == 0
     assert metrics["group.generate_group.calls"]["value"] == 2

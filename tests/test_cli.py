@@ -190,11 +190,13 @@ class TestFromGroup:
 
     def test_symmetric_group_rejected_past_eight_elements(self, tmp_path, capsys):
         # two reflections of the octagon and (1 2) generate S_8 (40,320
-        # elements); the closure stops at its ninth element
+        # elements); their products of two do not pair up as a cube's do,
+        # so it is rejected before any closure
         path = tmp_path / "s8.pg"
         path.write_text("a = (2 8)(3 7)(4 6)\nb = (1 2)(3 8)(4 7)(5 6)\nc = (1 2)\n")
         assert main(["from-group", str(path)]) == 1
-        assert capsys.readouterr().out == "NotACubeGroup: closure has more than 8 elements\n"
+        assert capsys.readouterr().out == (
+            "NotACubeGroup: the product of 'a' and 'b' is not on the cube's second layer\n")
 
 
 class TestEnumerate:

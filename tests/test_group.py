@@ -7,6 +7,7 @@ import pytest
 
 from cubegroups import group
 from cubegroups.errors import (
+    CubeGroupError,
     DuplicateLabelError,
     NotACubeGroupError,
     NotAdmissibleError,
@@ -16,7 +17,13 @@ from cubegroups.errors import (
     RankTooSmallError,
     UnknownLabelError,
 )
-from cubegroups.graphs import admissible_quick, seed_pairs, trajectory
+from cubegroups.graphs import (
+    DecoratedGraph,
+    admissible_quick,
+    require_admissible,
+    seed_pairs,
+    trajectory,
+)
 from cubegroups.group import (
     LabeledGraph,
     decorated_graph_from_group,
@@ -288,6 +295,83 @@ def admissible_groups(rank):
             yield g, generate_group(g)
 
 
+def reference_closure(generators, labels, rights):
+    """Oracle: the generic closure, certified by `is_hypercube` on its table.
+
+    A hash-indexed breadth-first closure that stops past 2^n elements, a
+    check that each table column is a fixed-point-free involution, and the
+    cube certificate.  Returns ``(elements, step, coords)``: the elements in
+    discovery order (identity first, then label order), the right
+    multiplication table and each element's cube coordinate, whose bit k is
+    ``labels[k]``.  Raises NotACubeGroupError unless the closure is a cube
+    group, with NotInvolutionError for a generator that is not an involution.
+    """
+    if len(set(generators)) != len(generators):
+        raise NotACubeGroupError("generators are not pairwise distinct")
+    ident = rights[0](generators[0])
+    for s, gen, right in zip(labels, generators, rights):
+        if right(ident) != gen:
+            raise NotACubeGroupError(f"the square of {labels[0]!r} is not an identity for {s!r}")
+        if right(gen) != ident or gen == ident:
+            raise NotInvolutionError(s)
+    order = 2 ** len(labels)
+    elements = [ident]
+    index_of = {ident: 0}
+    step = []
+    for m in elements:  # the list grows while it is walked
+        row = []
+        for right in rights:
+            p = right(m)
+            k = index_of.get(p)
+            if k is None:
+                k = len(elements)
+                if k == order:
+                    raise NotACubeGroupError(f"closure has more than {order} elements")
+                elements.append(p)
+                index_of[p] = k
+            row.append(k)
+        step.append(tuple(row))
+    if len(elements) != order:
+        raise NotACubeGroupError(f"closure has {len(elements)} elements, expected {order}")
+    if any(j == i or step[j][k] != i for i, row in enumerate(step) for k, j in enumerate(row)):
+        raise NotACubeGroupError("a table column is not a fixed-point-free involution")
+    edges = sorted((i, j, labels[k]) for i, row in enumerate(step) for k, j in enumerate(row)
+                   if i < j)
+    try:
+        # row 0 is in label order, so the certificate's coordinate bit k is labels[k]
+        cube = is_hypercube(LabeledGraph(tuple(range(order)), tuple(edges)))
+    except ValueError as exc:  # two labels on one edge
+        raise NotACubeGroupError(str(exc)) from exc
+    if not cube:
+        raise NotACubeGroupError(cube.reason)
+    return elements, step, [cube.coords[i] for i in range(order)]
+
+
+def reference_graph_from_group(generators, labels, mul=lambda a, b: a * b):
+    """Oracle for `decorated_graph_from_group`: close the generators with
+    `reference_closure`, then read j_s(t) as the label of the bit that letter
+    t flips at the vertex of rho_s, and require the graph to be admissible."""
+    rights = [lambda m, g=g: mul(m, g) for g in generators]
+    _, step, coords = reference_closure(generators, labels, rights)
+    axis = {1 << k: s for k, s in enumerate(labels)}
+    involutions = {s: {t: axis[coords[y] ^ coords[x]] for t, y in zip(labels, step[x])}
+                   for s, x in zip(labels, step[0])}  # x is the vertex of rho_s
+    try:
+        graph = DecoratedGraph(labels, involutions)
+        require_admissible(graph)
+    except (ValueError, NotAdmissibleError) as exc:
+        raise NotACubeGroupError(str(exc)) from exc
+    return graph
+
+
+def _outcome(build, gens, labels):
+    """The graph `build` returns, or the class of the CubeGroupError it raises."""
+    try:
+        return build(gens, labels)
+    except CubeGroupError as exc:
+        return type(exc)
+
+
 class TestCayleyTable:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_step_is_right_multiplication_by_an_involution(self, rank):
@@ -432,11 +516,12 @@ class TestDecoratedGraphFromGroup:
 
     def test_eight_cycle_group_wrong_order(self):
         # (1 3) and (1 2)(3 4) generate the dihedral group of order 8, whose
-        # Cayley graph on two generators is an 8-cycle, not a square
+        # Cayley graph on two generators is an 8-cycle, not a square: ab and
+        # ba differ, so neither is the product at the square's far vertex
         gens = [Perm.from_cycles(4, [(0, 2)]), Perm.from_cycles(4, [(0, 1), (2, 3)])]
         with pytest.raises(NotACubeGroupError) as exc:
             decorated_graph_from_group(gens, ("a", "b"))
-        assert "closure has more than 4 elements" in str(exc.value)
+        assert "the product of 'a' and 'b' is not on the cube's second layer" in str(exc.value)
 
     @pytest.mark.parametrize("m", [5, 6, 7, 8])
     def test_closure_stops_past_two_to_the_n(self, m):
@@ -454,19 +539,22 @@ class TestDecoratedGraphFromGroup:
             products += 1
             return x * y
 
-        with pytest.raises(NotACubeGroupError, match="closure has more than 8 elements"):
+        # rejected on the products of two, before any closure
+        with pytest.raises(NotACubeGroupError, match="the product of 'a' and 'b' is not on the"
+                           " cube's second layer"):
             decorated_graph_from_group(gens, ("a", "b", "c"), mul)
         n = 3
-        assert products <= n * 2 ** n + 2 * n + 1
+        assert products == n * (n - 1) + 2 * n + 1
 
     def test_closure_short_of_two_to_the_n(self):
-        # three distinct involutions of the Klein four-group close up at 4 < 2^3
+        # three distinct involutions of the Klein four-group close up at 4 < 2^3:
+        # their products of two pair up as in Z2^3, but ab is c
         gens = [
             Perm.from_cycles(4, [(0, 1), (2, 3)]),
             Perm.from_cycles(4, [(0, 2), (1, 3)]),
             Perm.from_cycles(4, [(0, 3), (1, 2)]),
         ]
-        with pytest.raises(NotACubeGroupError, match="closure has 4 elements, expected 8"):
+        with pytest.raises(NotACubeGroupError, match="two vertices hold the same element"):
             decorated_graph_from_group(gens, ("a", "b", "c"))
 
     def test_rank_cap_before_any_product(self):
@@ -524,13 +612,16 @@ class TestDecoratedGraphFromGroup:
             decorated_graph_from_group([(0, 1, 3, 2), (1, 0)], ("a", "b"), padded)
 
     @pytest.mark.parametrize("product, reason", [
-        ((3, 1, 0), "not a fixed-point-free involution"),  # 3·a = 0, but 0·a = 1
-        ((3, 2, 3), "not a fixed-point-free involution"),  # 3·b = 3
+        # 3·a = 0, but 0·a = 1
+        ((3, 1, 0), "the product of element 3 by 'a' is not element 2, the one at its vertex"),
+        # 3·b = 3
+        ((3, 2, 3), "the product of element 3 by 'b' is not element 1, the one at its vertex"),
     ], ids=["not-involutive", "fixed-point"])
     def test_right_multiplication_must_pair_the_elements(self, product, reason):
         # A magma on {0, 1, 2, 3} that agrees with the Klein group except at
         # one product; read from the lower endpoints alone its Cayley graph
-        # would still be a square.
+        # would still be a square, and its products of two are the Klein
+        # group's.
         table = {(0, 1): 1, (0, 2): 2, (1, 1): 0, (1, 2): 3, (2, 1): 3, (2, 2): 0,
                  (3, 1): 2, (3, 2): 1}
         x, y, z = product
@@ -546,7 +637,8 @@ class TestDecoratedGraphFromGroup:
                    2: [(0, 2), (1, 4), (3, 6), (5, 7)],
                    3: [(0, 3), (1, 5), (2, 4), (6, 7)]}
         table = {(x, g): y for g, pairs in columns.items() for p in pairs for x, y in (p, p[::-1])}
-        with pytest.raises(NotACubeGroupError, match="coordinate map is not a bijection"):
+        with pytest.raises(NotACubeGroupError, match="the product of 'a' and 'b' is not on the"
+                           " cube's second layer"):
             decorated_graph_from_group([1, 2, 3], ("a", "b", "c"), lambda u, v: table[u, v])
 
     def test_order_eight_group_whose_cayley_graph_is_not_a_cube(self):
@@ -557,7 +649,8 @@ class TestDecoratedGraphFromGroup:
             Perm.from_cycles(4, [(0, 1), (2, 3)]),
             Perm.from_cycles(4, [(0, 2), (1, 3)]),
         ]
-        with pytest.raises(NotACubeGroupError, match="coordinate map is not a bijection"):
+        with pytest.raises(NotACubeGroupError, match="the product of 'a' and 'b' is not on the"
+                           " cube's second layer"):
             decorated_graph_from_group(gens, ("a", "b", "c"))
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
@@ -574,7 +667,16 @@ class TestDecoratedGraphFromGroup:
     def test_round_trip_rank8_union(self, rank5):
         g = rank5_plus_d4(rank5)
         gens = [generator_rho(g, s) for s in g.labels]
-        assert decorated_graph_from_group(gens, g.labels, SignedPermutation.compose) == g
+        products = 0
+
+        def mul(x, y):
+            nonlocal products
+            products += 1
+            return x.compose(y)
+
+        assert decorated_graph_from_group(gens, g.labels, mul) == g
+        n = g.rank
+        assert products <= n * 2 ** n + n * (n - 1) + 2 * n + 1
         # the same group acting on the 2n points +-e_t
         perms = [Perm(m.point_images()) for m in gens]
         assert decorated_graph_from_group(perms, g.labels) == g
@@ -582,8 +684,8 @@ class TestDecoratedGraphFromGroup:
     def test_read_map_that_is_not_an_involution(self):
         # A magma on the 16 vertex masks of the 4-cube: g_k moves x along
         # the axis at position k of col[x].  Every column pairs the vertices
-        # and the table is the 4-cube, so the closure and its certificate
-        # pass, but at the vertex of g_c the letters read j_c as a -> d -> b.
+        # and the table is the 4-cube, and the products of two pair up, but
+        # at the vertex of g_c the letters read j_c as b -> a -> d.
         col = {x: [0, 1, 2, 3] for x in range(16)}
         col.update({x: [1, 3, 2, 0] for x in (4, 5, 12, 13)})
         col.update({x: [0, 3, 2, 1] for x in (6, 7, 14, 15)})
@@ -592,7 +694,7 @@ class TestDecoratedGraphFromGroup:
         def mul(x, g):
             return x ^ (1 << col[x].index(gen_index[g]))
 
-        with pytest.raises(NotACubeGroupError, match=r"map for 'c' is not an involution \(a->d->b\)"):
+        with pytest.raises(NotACubeGroupError, match=r"map for 'c' is not an involution \(b->a->d\)"):
             decorated_graph_from_group([1, 2, 4, 8], tuple("abcd"), mul)
 
 
@@ -643,9 +745,9 @@ class TestVertexNumbering:
 
 
 class TestVertexClosure:
-    """`generate_group`'s closure stores each product at the cube vertex read
-    from the element it multiplies; the generic closure plus the cube
-    certificate is its oracle."""
+    """Both build paths store each product at the cube vertex predicted by
+    the permutation part of the element it multiplies; the generic closure
+    plus `is_hypercube` on its table is the oracle."""
 
     @staticmethod
     def _oracle_graphs(rank5):
@@ -660,17 +762,24 @@ class TestVertexClosure:
         for g in self._oracle_graphs(rank5):
             points = [generator_rho(g, s).point_images() for s in g.labels]
             rights = [itemgetter(*p) for p in points]
-            elements, step, coords = group._closure(points, g.labels, rights)
-            by_vertex, vertex_step = group._vertex_closure(g.labels, points)
+            elements, step, coords = reference_closure(points, g.labels, rights)
+            by_vertex, vertex_step = group._vertex_closure(g, rights, tuple(range(2 * g.rank)))
             assert [by_vertex[c] for c in coords] == elements
             assert [vertex_step[c] for c in coords] == [
                 tuple(coords[j] for j in row) for row in step]
             checked[g.rank] += 1
         assert checked == {1: 1, 2: 1, 3: 4, 4: 22, 5: 236, 8: 1, 12: 1}
 
-    def test_generate_group_skips_the_generic_closure(self, monkeypatch):
+    def test_each_build_path_closes_once(self, monkeypatch):
+        closures = []
+        vertex_closure = group._vertex_closure
+
+        def counting_closure(*args):
+            closures.append(args[0])
+            return vertex_closure(*args)
+
         def forbidden(*args):
-            raise AssertionError("generate_group must not run the generic closure")
+            raise AssertionError("generate_group must not run the reverse construction's closure")
 
         products = Counter()
 
@@ -683,37 +792,60 @@ class TestVertexClosure:
 
             return call
 
-        monkeypatch.setattr(group, "_closure", forbidden)
-        monkeypatch.setattr(group, "_cube_certificate", forbidden)
-        monkeypatch.setattr(group, "itemgetter", counting_itemgetter)
-        n = 12
-        G = generate_group(graph_from("abcdefghijkl"))
+        monkeypatch.setattr(group, "_vertex_closure", counting_closure)
+        with monkeypatch.context() as patched:
+            patched.setattr(group, "_closure", forbidden)
+            patched.setattr(group, "itemgetter", counting_itemgetter)
+            n = 12
+            g = graph_from("abcdefghijkl")
+            G = generate_group(g)
         assert G.order == 2 ** n
-        # getters of 2n point images are the right multiplications
-        assert 0 < products[2 * n] <= n * 2 ** n + 2 * n + 1
+        assert closures == [g]
+        # getters of 2n point images are the right multiplications: one per product
+        assert products[2 * n] == n * 2 ** n
+        gens = [Perm(generator_rho(g, s).point_images()) for s in g.labels]
+        assert decorated_graph_from_group(gens, g.labels) == g
+        assert closures == [g, g]
 
     def test_product_off_its_predicted_vertex(self, d4):
         # D4's generators with rho_a negating b instead of a: rho_a then
-        # squares to -1 on b and c, but rho_a * rho_a is read as toggling the
-        # image of a, so it is filed at vertex 1 ^ 1 = 0, the identity's
+        # squares to -1 on b and c, but rho_a * rho_a is predicted to toggle
+        # bit j_a(a) = a, so it is filed at vertex 1 ^ 1 = 0, the identity's
         labels = d4.labels
         negated = {"a": "b", "b": "b", "c": "c"}
-        points = [
-            SignedPermutation.from_maps(
+        rights = [
+            itemgetter(*SignedPermutation.from_maps(
                 labels, d4.involutions[s], {t: -1 if t == negated[s] else 1 for t in labels}
-            ).point_images()
+            ).point_images())
             for s in labels
         ]
         with pytest.raises(NotACubeGroupError, match="the product of element 1 by 'a' is not"
                            " element 0, the one at its vertex"):
-            group._vertex_closure(labels, points)
+            group._vertex_closure(d4, rights, tuple(range(6)))
 
     def test_two_vertices_hold_one_element(self):
         # three diagonal involutions of a Klein four-group: every product
         # lands where the vertex rule says, but the closure has only 4
         # distinct elements on 8 vertices
-        labels = ("a", "b", "c")
-        points = [SignedPermutation(labels, (0, 1, 2), signs).point_images()
+        g = graph_from("abc")
+        rights = [itemgetter(*SignedPermutation(g.labels, (0, 1, 2), signs).point_images())
                   for signs in ((-1, 1, 1), (1, -1, 1), (-1, -1, 1))]
         with pytest.raises(NotACubeGroupError, match="two vertices hold the same element"):
-            group._vertex_closure(labels, points)
+            group._vertex_closure(g, rights, tuple(range(6)))
+
+    @pytest.mark.parametrize("degree, ranks", [(4, range(1, 5)), (5, range(1, 4))])
+    def test_every_tuple_of_involutions_matches_the_oracle(self, degree, ranks):
+        """Every ordered tuple of distinct involutions of S_degree: accepted
+        or rejected as by the oracle, with the same error class or graph."""
+        identity = Perm.identity(degree)
+        involutions = [p for p in map(Perm, itertools.permutations(range(degree)))
+                       if p * p == identity != p]
+        inputs = accepted = 0
+        for rank in ranks:
+            labels = tuple("abcd"[:rank])
+            for gens in itertools.permutations(involutions, rank):
+                expected = _outcome(reference_graph_from_group, gens, labels)
+                assert _outcome(decorated_graph_from_group, gens, labels) == expected, gens
+                inputs += 1
+                accepted += isinstance(expected, DecoratedGraph)
+        assert (inputs, accepted) == {4: (3609, 105), 5: (14425, 505)}[degree]
