@@ -134,10 +134,10 @@ class NormalForm:
 def normal_form(G: CubeGroup, ordering) -> NormalForm:
     """Tabulate all 2^n products s1^m1 ... sn^mn and verify they are distinct.
 
-    Each product is a walk from the identity in the right multiplication
-    table ``G.step``, one factor at a time along the ordering.  Extending each
+    Each product is a walk from the identity by right multiplication,
+    `G.step`, one factor at a time along the ordering.  Extending each
     prefix by 0, then 1 yields the bit vectors in ``itertools.product`` order.
-    The table itself is the verification: a collision raises
+    The tabulation itself is the verification: a collision raises
     NotADecompositionError with the earlier and the later bit vector.  An
     ordering with a letter outside the labels raises UnknownLabelError for
     that letter; one that misses or repeats a label raises ValueError.
@@ -158,7 +158,7 @@ def normal_form(G: CubeGroup, ordering) -> NormalForm:
         longer = []
         for bits, i in walks:
             longer.append((bits + (0,), i))
-            longer.append((bits + (1,), step[i][k]))
+            longer.append((bits + (1,), step(i, k)))
         walks = longer
     to_element = {}
     from_element = {}

@@ -57,13 +57,15 @@ def _parse_label(s: str, lineno: int) -> str:
 def _parse_cycles(text: str, lineno: int) -> list[tuple[str, ...]]:
     if text == "id":
         return []
-    cycles = []
-    rest = text
+    cycles, rest = [], text
     while rest:
         m = _CYCLE_RE.match(rest)
         if not m:
             raise ParseError(f"expected a cycle at {rest!r}", lineno)
-        cycles.append(tuple(m.group(1).split()))
+        cycle = tuple(m.group(1).split())
+        if len(set(cycle)) != len(cycle):
+            raise ParseError(f"degenerate cycle ({' '.join(cycle)})", lineno)
+        cycles.append(cycle)
         rest = rest[m.end():].lstrip()
     return cycles
 
@@ -120,8 +122,6 @@ def parse_decorated_graph(doc: str) -> DecoratedGraph:
                 if x in moved:
                     raise NonDisjointCyclesError(f"label {x!r} moved twice", lineno)
                 moved.add(x)
-            if u == v:
-                raise ParseError(f"degenerate cycle ({u} {v})", lineno)
             mapping[u], mapping[v] = v, u
         involutions[name] = mapping
     return DecoratedGraph(labels, involutions)
@@ -178,9 +178,9 @@ def parse_perm_group(doc: str) -> tuple[tuple[str, ...], list[Perm]]:
         for c in cycles:
             if len(c) != 2:
                 raise NotInvolutionError(name)
-            if set(c) & seen:
+            if seen.intersection(c) or c[0] == c[1]:  # as in (1 01)
                 raise NonDisjointCyclesError(f"point moved twice in {name!r}", lineno)
-            seen |= set(c)
+            seen.update(c)
         perm = Perm.from_cycles(len(moved), [tuple(number[p] for p in c) for c in cycles])
         if perm.is_identity or not (perm * perm).is_identity:
             raise NotInvolutionError(name)
@@ -189,10 +189,10 @@ def parse_perm_group(doc: str) -> tuple[tuple[str, ...], list[Perm]]:
 
 
 def subset_name(G: CubeGroup, index: int) -> str:
-    subset = G.subsets[index]
-    if not subset:
+    """The vertex subset of an element: the labels of its index's set bits."""
+    ordered = [s for k, s in enumerate(G.graph.labels) if index >> k & 1]
+    if not ordered:
         return "1"
-    ordered = [s for s in G.graph.labels if s in subset]
     return "".join(ordered) if all(len(s) == 1 for s in ordered) else ".".join(ordered)
 
 

@@ -1,12 +1,12 @@
 """Group generation, hypercube recognition, and decorated-graph extraction.
 
 An admissible decorated graph of rank n generates a group of 2^n signed
-permutations (the geometric images of the group elements).  The closure's
-right-multiplication table is its labeled Cayley graph, which must be the
-1-skeleton of the n-cube.  The group acts simply transitively on the cube's
-vertices, so `_vertex_closure`, the one closure both build paths run,
-numbers each element by its cube vertex (the bitmask in {0,1}^n of the
-coordinates it negates), which certifies the table as the cube as it runs.
+permutations (the geometric images of the group elements), whose labeled
+Cayley graph must be the 1-skeleton of the n-cube.  The group acts simply
+transitively on the cube's vertices, so `_vertex_closure`, the one closure
+both build paths run, numbers each element by its cube vertex (the bitmask in
+{0,1}^n of the coordinates it negates), which certifies the cube as it runs.
+Right multiplication is then a formula, `CubeGroup.step`, not a table.
 The reverse construction first reads the graph off the products of two
 generators: rho_s * rho_t sits at the vertex {s, j_s(t)}, where exactly one
 other such product sits.
@@ -141,7 +141,7 @@ def word_matrix(g: DecoratedGraph, word) -> SignedPermutation:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     index: int  # the element's cube vertex
     matrix: SignedPermutation
@@ -153,14 +153,12 @@ class CubeGroup:
 
     The group acts simply transitively on the cube's vertices, so
     ``elements[i]`` is the one whose matrix negates coordinate ``labels[k]``
-    of (1, ..., 1) exactly when bit k of i is set.  ``step[i][k]`` is the
-    index of ``elements[i] * rho(labels[k])``: right multiplication, and the
-    labeled Cayley graph, whose edges flip one bit.
+    of (1, ..., 1) exactly when bit k of i is set.  Right multiplication,
+    the labeled Cayley graph, flips one bit (`step`).
     """
 
     graph: DecoratedGraph
     elements: list[GroupElement]
-    step: list[tuple[int, ...]]
 
     @property
     def rank(self) -> int:
@@ -170,19 +168,24 @@ class CubeGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @cached_property
-    def subsets(self) -> list[frozenset[str]]:
-        """Element index -> vertex subset T: the labels of its index bits."""
-        labels = self.graph.labels
-        return [frozenset(s for k, s in enumerate(labels) if i >> k & 1) for i in range(self.order)]
+    def step(self, i: int, k: int) -> int:
+        """The index of ``elements[i] * rho(labels[k])``: flip bit p(k), p the
+        permutation part of element i, as rho_k negates only e_k.  The closure
+        stored that product there and checked it against the element there."""
+        if i < 0 or k < 0:  # the lists would count it from the end
+            raise IndexError(f"negative index in step({i}, {k})")
+        return i ^ 1 << self.elements[i].matrix.perm[k]
 
     @cached_property
     def cayley(self) -> LabeledGraph:
-        """The Cayley graph as an edge list, built from ``step`` on first use."""
-        labels = self.graph.labels
-        edges = sorted(
-            (i, j, labels[k]) for i, row in enumerate(self.step) for k, j in enumerate(row) if i < j
-        )
+        """The sorted edge list, built on first use.  Label k flips bit p(k) (`step`), so
+        one sort of the labels by bit per distinct p lists each vertex's upper edges."""
+        labels, by_bit, edges = self.graph.labels, {}, []
+        for i, e in enumerate(self.elements):
+            perm = e.matrix.perm
+            if perm not in by_bit:
+                by_bit[perm] = sorted(zip([1 << p for p in perm], labels))
+            edges += [(i, i | b, s) for b, s in by_bit[perm] if not i & b]
         return LabeledGraph(tuple(range(self.order)), tuple(edges))
 
     @cached_property
@@ -200,25 +203,27 @@ class CubeGroup:
         """The element of a word in applied-first order: a walk from the
         identity taking the letters last to first, as right factors."""
         word = tuple(word)
-        pos, step, i = self._label_index, self.step, 0
+        pos, elements, i = self._label_index, self.elements, 0
         try:
             for s in reversed(word):
-                i = step[i][pos[s]]
+                i ^= 1 << elements[i].matrix.perm[pos[s]]  # step(i, pos[s]), inlined
         except KeyError:
             raise UnknownLabelError(next(s for s in word if s not in pos)) from None
         return self.elements[i]
 
     def word(self, i: int) -> tuple[str, ...]:
-        """A shortest generator word of element i, in applied-first order:
-        the descent from vertex i that takes, at each step, the first label
-        whose neighbour clears a bit, so one letter per set bit of i."""
+        """A shortest word of element i, in applied-first order: from vertex i,
+        take each time the first label k whose bit p_i(k) is set, the one its
+        `step` clears, so one letter per set bit of i."""
         labels, step, word = self.graph.labels, self.step, []
-        while i:
-            k, i = next((k, j) for k, j in enumerate(step[i]) if j < i)
+        for _ in range(i.bit_count()):
+            k, i = next((k, j) for k in range(len(labels)) if (j := step(i, k)) < i)
             word.append(labels[k])
         return tuple(word)
 
     def multiply(self, i: int, k: int) -> int:
+        if i < 0 or k < 0:
+            raise IndexError(f"element index {min(i, k)} is negative")
         product = self.elements[i].matrix.compose(self.elements[k].matrix)
         return self.element_for_matrix(product).index
 
@@ -228,10 +233,10 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
 
     The closure multiplies the matrices' images of the 2n points +-e_t, one
     `itemgetter` call per product, and stores each product at its cube
-    vertex (`_vertex_closure`), which certifies the table as the n-cube as
-    it goes; then it decodes each of the 2^n elements once.  An admissible
-    graph always generates a cube group, so a closure that is not one raises
-    InternalConsistencyError with the closure's reason.  The rank is bounded
+    vertex (`_vertex_closure`), which certifies the Cayley graph as the
+    n-cube as it goes; then it decodes each of the 2^n elements once.  An
+    admissible graph always generates a cube group, so a closure that is not
+    one raises InternalConsistencyError with the closure's reason.  The rank is bounded
     before the admissibility check, whose cost is cubic in it.
     """
     n = g.rank
@@ -242,63 +247,61 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     require_admissible(g)
     rights = [itemgetter(*generator_rho(g, s).point_images()) for s in g.labels]
     try:
-        elements, step = _vertex_closure(g, rights, tuple(range(2 * n)))
+        elements = _vertex_closure(g, rights, tuple(range(2 * n)))
     except NotACubeGroupError as exc:
         raise InternalConsistencyError(
             f"an admissible graph did not generate a cube group: {exc.reason}"
         ) from exc
-    # decoded in place by layer, near the order the tuples were made, so their memory is reused
+    # decoded in place by layer, near the order the tuples were made, so their memory is reused;
+    # elements share one tuple per permutation part (8 for the 4,096 of the rank-12 benchmark)
+    perms = {}
     for i in sorted(range(1 << n), key=int.bit_count):
-        elements[i] = GroupElement(i, SignedPermutation._from_point_images(g.labels, elements[i]))
-    return CubeGroup(g, elements, step)
+        m = SignedPermutation._from_point_images(g.labels, elements[i])
+        object.__setattr__(m, "perm", perms.setdefault(m.perm, m.perm))
+        elements[i] = GroupElement(i, m)
+    return CubeGroup(g, elements)
 
 
 def _vertex_closure(g: DecoratedGraph, rights, ident):
     """Breadth-first closure of the group of graph g, stored by cube vertex.
 
     ``rights[k](x)`` is the product ``x * rho_k`` (k indexes g's labels) and
-    ``ident`` is the identity.  Returns ``(elements, step)``, where
-    ``elements[c]`` is the element at vertex mask c and ``step[c][k]`` is the
-    vertex of ``elements[c] * rho_k``.  If x sits at mask c with permutation
-    part p, then x * rho_k sits at ``c ^ (1 << p(k))``, as rho_k negates
-    only e_k, and has permutation part p∘j_k.  Each vertex's p is set on its
+    ``ident`` is the identity.  Returns the elements, ``elements[c]`` being
+    the element at vertex mask c.  If x sits at mask c with permutation part
+    p, then x * rho_k sits at ``c ^ (1 << p(k))``, as rho_k negates only
+    e_k, and has permutation part p∘j_k.  Each vertex's p is set on its
     first visit, as the bits ``1 << p(t)`` in label order, and dropped once
     the vertex is processed.
 
     Raises NotACubeGroupError when a product is not the element already at
     its vertex, or when two vertices hold the same element.  Both checks
-    passed certify the table as the n-cube with the masks as coordinates:
-    each column flips one bit, the bits p(k) at a vertex are distinct (p is
-    a permutation), and masks map one-to-one onto elements.
+    passed certify the Cayley graph as the n-cube with the masks as
+    coordinates: each generator flips one bit, the bits p(k) at a vertex are
+    distinct (p is a permutation), and masks map one-to-one onto elements.
     """
     n, labels, compose_js = g.rank, g.labels, j_getters(g)
-    vertex = list(range(1 << n))  # one int object per vertex, shared by the rows
     elements = [None] * (1 << n)
     elements[0] = ident
     bits = [None] * (1 << n)  # vertex -> (1 << p(t) for t), from first visit to processing
     bits[0] = tuple(1 << k for k in range(n))
-    step = [None] * (1 << n)
     queue = [0]
     for c in queue:  # the queue grows while it is walked
         m, p = elements[c], bits[c]
         bits[c] = None
-        row = []
-        for right, compose_j, b in zip(rights, compose_js, p):
+        for s, right, compose_j, b in zip(labels, rights, compose_js, p):
             x = right(m)
-            v = vertex[c ^ b]
+            v = c ^ b
             y = elements[v]
             if y is None:
                 elements[v] = x
                 bits[v] = compose_j(p)
                 queue.append(v)
-            elif y != x:  # the label is the row's next column
-                raise NotACubeGroupError(f"the product of element {c} by {labels[len(row)]!r}"
+            elif y != x:
+                raise NotACubeGroupError(f"the product of element {c} by {s!r}"
                                          f" is not element {v}, the one at its vertex")
-            row.append(v)
-        step[c] = tuple(row)
     if len(set(elements)) != len(elements):
         raise NotACubeGroupError("two vertices hold the same element")
-    return elements, step
+    return elements
 
 
 def _closure(generators, labels, rights):
@@ -313,8 +316,8 @@ def _closure(generators, labels, rights):
     and an element is fixed by its vertex.  So the n(n-1) products fall into
     pairs of equal ones with distinct first letters s and u, and then
     j_s(t) = u.  The graph read must be admissible; the closure then
-    certifies the table as the n-cube.  Raises NotACubeGroupError otherwise,
-    after at most n·2^n + n(n-1) + 2n + 1 products.
+    certifies its Cayley graph as the n-cube.  Raises NotACubeGroupError
+    otherwise, after at most n·2^n + n(n-1) + 2n + 1 products.
     """
     if not generators:
         raise RankTooSmallError(0, 1)
@@ -350,8 +353,7 @@ def _closure(generators, labels, rights):
         raise NotACubeGroupError(
             f"extracted decorated graph is not admissible ({reason})"
         ) from exc
-    elements, _ = _vertex_closure(graph, rights, ident)
-    return elements, graph
+    return _vertex_closure(graph, rights, ident), graph
 
 
 def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> DecoratedGraph:

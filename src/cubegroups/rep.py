@@ -5,8 +5,8 @@ permutation.  The sign picked up by each basis vector can be read directly off
 a defining word: walking the word letter by letter while tracking the image of
 the target label, the sign flips each time the next letter equals the current
 image.  `sign_formula_mismatches` checks this formula against the matrix fold
-on every word at once, by induction over the multiplication table the
-closure built with the group (one step per element and letter).  Orbit blocks
+on every word at once, by induction over the products the closure checked
+as it built the group (one step per element and letter).  Orbit blocks
 of the label action span invariant coordinate subspaces, so the
 representation is reducible whenever there are at least two blocks.
 """
@@ -75,24 +75,22 @@ def rho_via_formula(g: DecoratedGraph, word) -> SignedPermutation:
 
 def sign_formula_mismatches(G: CubeGroup) -> list[tuple[str, ...]]:
     """Words whose sign-count formula differs from the matrix fold (expected:
-    none), decided for every word of every length by induction over G's
-    multiplication table.
+    none), decided for every word of every length by induction over `G.step`.
 
     Prepending s to a word is one formula step: target t takes the image and
-    sign of j_s(t), and its sign flips when t equals s.  The closure made
-    element ``G.step[i][k]`` as the fold of ``(s,) + w`` from element i, the
-    fold of w (s = labels[k]).  So once element 0 is the identity, the fold
-    of the empty word, checking the step on ``elements[i].matrix`` against
-    ``elements[G.step[i][k]].matrix`` for every i and k covers every word;
-    |G|·n steps in all.  This tests that the generator matrices, the
-    product that built the table and the involution table agree.  The table
-    is walked breadth-first from element 0 with one word per element; a
-    failed step is reported as (s,) + w and not walked on, so formula and
-    fold differ on every reported word.  A non-identity element 0 is
-    reported as the empty word.
+    sign of j_s(t), and its sign flips when t equals s.  The closure stored
+    the fold of ``(s,) + w``, element i (the fold of w) times rho_s with
+    s = labels[k], at vertex ``G.step(i, k)``, checked against the element
+    there.  So once element 0 is the identity, the fold of the empty word,
+    checking the step on element i's matrix against element G.step(i, k)'s
+    for every i and k covers every word; |G|·n steps in all.  This tests
+    that the generator matrices, the closure's products and the involution
+    table agree.  The group is walked breadth-first from element 0 with one
+    word per element; a failed step is reported as (s,) + w and not walked
+    on, so formula and fold differ on every reported word.  A non-identity
+    element 0 is reported as the empty word.
     """
-    labels = G.graph.labels
-    getters = j_getters(G.graph)
+    labels, getters = G.graph.labels, j_getters(G.graph)
     matrices = [e.matrix for e in G.elements]
     if not matrices[0].is_identity:
         return [()]
@@ -101,8 +99,8 @@ def sign_formula_mismatches(G: CubeGroup) -> list[tuple[str, ...]]:
     bad = []
     for i in queue:  # the list grows while it is walked
         m, word = matrices[i], words[i]
-        for k, (s, j) in enumerate(zip(labels, G.step[i])):
-            get = getters[k]
+        for k, (s, get, p) in enumerate(zip(labels, getters, m.perm)):
+            j = i ^ 1 << p  # G.step(i, k), inlined
             signs = list(get(m.signs))
             signs[k] = -signs[k]
             target = matrices[j]

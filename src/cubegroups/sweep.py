@@ -15,9 +15,9 @@ and each involution fixes its own label by construction.  Group
 generation certifies the cube group as it closes it: each product must be
 the element at the cube vertex read from its left factor, and the 2^n
 vertices must hold distinct elements.  The sign-formula
-check (`rep.sign_formula_mismatches`) reads the multiplication table that
-closure built: one formula step per element and letter proves, by induction
-on word length, that the formula equals the matrix fold on every word.
+check (`rep.sign_formula_mismatches`) steps along the products that closure
+checked: one formula step per element and letter proves, by induction on
+word length, that the formula equals the matrix fold on every word.
 The sweep is one loop in the calling process.
 """
 
@@ -168,7 +168,7 @@ def verify_graph(g: DecoratedGraph) -> list[tuple[str, str]]:
     ``("reducible", "single orbit")``: it has no orbit tree, so its normal
     forms are not checked.  The sign-formula check compares the closed
     formula with the matrix fold on every word of every length, by induction
-    over the group's multiplication table; each mismatch is reported as
+    over the group's right multiplication; each mismatch is reported as
     ``("sign-formula", "word (...)")``.
     """
     failures = []

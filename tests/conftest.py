@@ -16,6 +16,11 @@ def graph_from(labels, swaps=None):
     return DecoratedGraph(labels, involutions)
 
 
+def vertex_subset(G, i):
+    """The cube vertex of element i as a label set: the labels of its index bits."""
+    return frozenset(s for k, s in enumerate(G.graph.labels) if i >> k & 1)
+
+
 @pytest.fixture
 def d4():
     """Rank-3 graph of the dihedral group of order 8."""

@@ -38,6 +38,8 @@ from cubegroups.group import (
 from cubegroups.rep import embed_vertex, is_reducible, rho_via_formula, sign_count
 from cubegroups.sweep import enumerate_decorated_graphs, sweep
 
+from conftest import vertex_subset
+
 D4_DOC = "gens: a b c\na: (b c)\n"
 RANK5_DOC = (
     "gens: a b c d e\n"
@@ -189,13 +191,13 @@ def test_criterion_6_left_action_and_embedding():
             if not admissible_quick(g):
                 continue
             G = generate_group(g)
-            vectors = [embed_vertex(g.labels, G.subsets[e.index]) for e in G.elements]
+            vectors = [embed_vertex(g.labels, vertex_subset(G, e.index)) for e in G.elements]
             for x, h in itertools.product(G.elements, repeat=2):
                 product = G.multiply(x.index, h.index)
                 assert x.matrix.apply_to_vector(vectors[h.index]) == vectors[product]
             adjacent = {frozenset((u, v)) for u, v, _ in G.cayley.edges}
             for x, y in itertools.combinations(G.elements, 2):
-                delta = len(G.subsets[x.index] ^ G.subsets[y.index])
+                delta = len(vertex_subset(G, x.index) ^ vertex_subset(G, y.index))
                 assert (frozenset((x.index, y.index)) in adjacent) == (delta == 1)
     report(6, "left action and vertex embedding properties")
 

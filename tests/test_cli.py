@@ -167,6 +167,12 @@ class TestFromGroup:
         assert main(["from-group", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_degenerate_cycle_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "degenerate.pg"
+        path.write_text("a = (1 1)(2 3)\n")
+        assert main(["from-group", str(path)]) == 2
+        assert "error[parse]: degenerate cycle (1 1) (line 1)" in capsys.readouterr().err
+
     def test_duplicate_label_exits_two(self, tmp_path, capsys):
         path = tmp_path / "dup.pg"
         path.write_text("a = (1 2)\na = (3 4)\n")

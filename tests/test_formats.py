@@ -77,6 +77,12 @@ class TestParseDecoratedGraph:
         with pytest.raises(ParseError):
             parse_decorated_graph("gens: a b c d\na: (b c d)\n")
 
+    @pytest.mark.parametrize("cycles", ["(b b)", "(c d)(b b)", "(b c b)"])
+    def test_degenerate_cycle_rejected(self, cycles):
+        with pytest.raises(ParseError, match=r"degenerate cycle \(b( c)? b\)") as exc:
+            parse_decorated_graph(f"gens: a b c d\na: {cycles}\n")
+        assert exc.value.line == 2
+
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError) as exc:
             parse_decorated_graph("gens: a b c\n\nnot a line\n")
@@ -133,6 +139,14 @@ class TestParsePermGroup:
     def test_rejects_non_involution(self):
         with pytest.raises(NotInvolutionError):
             parse_perm_group("a = (1 2 3)\n")
+
+    def test_rejects_a_cycle_that_repeats_a_point(self):
+        # read as (2 3) before, dropping the fixed point's cycle
+        with pytest.raises(ParseError, match=r"degenerate cycle \(1 1\) \(line 2\)"):
+            parse_perm_group("b = (1 2)\na = (1 1)(2 3)\n")
+        # one point written two ways is caught once the points are numbers
+        with pytest.raises(NonDisjointCyclesError, match="point moved twice in 'a'"):
+            parse_perm_group("a = (1 01)(2 3)\n")
 
     def test_rejects_identity_generator(self):
         with pytest.raises(NotInvolutionError):

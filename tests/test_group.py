@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from operator import itemgetter
 
@@ -17,6 +19,7 @@ from cubegroups.errors import (
     RankTooSmallError,
     UnknownLabelError,
 )
+from cubegroups.formats import subset_name
 from cubegroups.graphs import (
     DecoratedGraph,
     admissible_quick,
@@ -230,7 +233,7 @@ class TestGenerateGroup:
 
     def test_identity_vertex_subset_empty(self, d4):
         G = generate_group(d4)
-        assert G.subsets[0] == frozenset()
+        assert subset_name(G, 0) == "1"
 
     def test_identity_neighbors_are_generators(self, d4):
         G = generate_group(d4)
@@ -379,9 +382,9 @@ class TestCayleyTable:
             rho = [generator_rho(g, s) for s in g.labels]
             for i, e in enumerate(G.elements):
                 for k in range(rank):
-                    j = G.step[i][k]
+                    j = G.step(i, k)
                     assert j == G.element_for_matrix(e.matrix.compose(rho[k])).index
-                    assert G.step[j][k] == i
+                    assert G.step(j, k) == i
 
     def test_non_abelian_rank8_union(self, rank5):
         g = rank5_plus_d4(rank5)
@@ -391,15 +394,16 @@ class TestCayleyTable:
         for i, e in enumerate(G.elements):
             assert e.matrix == word_matrix(g, G.word(i))
             for k in range(8):
-                assert G.step[i][k] == G.element_for_matrix(e.matrix.compose(rho[k])).index
+                assert G.step(i, k) == G.element_for_matrix(e.matrix.compose(rho[k])).index
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_edges_are_the_table(self, rank):
         for g, G in admissible_groups(rank):
             from_table = {
                 (min(i, j), max(i, j), s)
-                for i, row in enumerate(G.step)
-                for j, s in zip(row, g.labels)
+                for i in range(G.order)
+                for k, s in enumerate(g.labels)
+                for j in [G.step(i, k)]
             }
             assert G.cayley.edges == tuple(sorted(from_table))
 
@@ -436,7 +440,8 @@ class TestCayleyTable:
             for e in G.elements:
                 m = e.matrix
                 negated = {g.labels[m.perm[i]] for i, v in enumerate(m.signs) if v == -1}
-                assert G.subsets[e.index] == negated
+                name = "".join(s for s in g.labels if s in negated) or "1"
+                assert subset_name(G, e.index) == name
 
 
 class TestStandardSubgroup:
@@ -732,6 +737,37 @@ class TestVertexNumbering:
         with pytest.raises(KeyError):  # its vertex lies past the group's
             G.element_for_matrix(SignedPermutation(tuple("abcd"), (0, 1, 2, 3), (1, 1, 1, -1)))
 
+    def test_rank12_group_retains_no_table(self, rank5):
+        # 1.14 MB measured on CPython 3.11: per element a matrix and its signs
+        # tuple, with one perm tuple per permutation part.  A stored table of
+        # the 12 neighbours per element adds at least 0.39 MB, even as one flat list.
+        swaps = {s: [(u, v) for u, v in rank5.involutions[s].items() if u < v]
+                 for s in rank5.labels}
+        g = graph_from("abcdefghijkl", {**swaps, "f": [("g", "h")]})  # + D4 + Klein + Klein
+        gc.collect()
+        tracemalloc.start()
+        try:
+            G = generate_group(g)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.order == 4096
+        assert retained < 1.4e6
+
+    @pytest.mark.parametrize("index", [-1, 8, -9])
+    def test_index_outside_the_group(self, d4, index):
+        G = generate_group(d4)
+        calls = [lambda: G.step(index, 0), lambda: G.word(index),
+                 lambda: G.multiply(index, 1), lambda: G.multiply(1, index)]
+        for call in calls:
+            with pytest.raises(IndexError):
+                call()
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_label_index_outside_the_rank(self, d4, k):
+        with pytest.raises(IndexError):
+            generate_group(d4).step(0, k)
+
     def test_multiply_folds_the_word_of_its_right_factor(self, d4, rank5):
         for g in (d4, rank5):
             G = generate_group(g)
@@ -740,7 +776,7 @@ class TestVertexNumbering:
                 for k in range(G.order):
                     j = i
                     for s in reversed(G.word(k)):
-                        j = G.step[j][pos[s]]
+                        j = G.step(j, pos[s])
                     assert G.multiply(i, k) == j
 
 
@@ -763,9 +799,10 @@ class TestVertexClosure:
             points = [generator_rho(g, s).point_images() for s in g.labels]
             rights = [itemgetter(*p) for p in points]
             elements, step, coords = reference_closure(points, g.labels, rights)
-            by_vertex, vertex_step = group._vertex_closure(g, rights, tuple(range(2 * g.rank)))
+            by_vertex = group._vertex_closure(g, rights, tuple(range(2 * g.rank)))
             assert [by_vertex[c] for c in coords] == elements
-            assert [vertex_step[c] for c in coords] == [
+            G = generate_group(g)
+            assert [tuple(G.step(c, k) for k in range(g.rank)) for c in coords] == [
                 tuple(coords[j] for j in row) for row in step]
             checked[g.rank] += 1
         assert checked == {1: 1, 2: 1, 3: 4, 4: 22, 5: 236, 8: 1, 12: 1}

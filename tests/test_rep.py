@@ -19,7 +19,7 @@ from cubegroups.rep import (
 from cubegroups.signedperm import SignedPermutation
 from cubegroups.sweep import enumerate_decorated_graphs, verify_graph
 
-from conftest import graph_from
+from conftest import graph_from, vertex_subset
 
 
 class TestEmbedVertex:
@@ -166,11 +166,15 @@ class TestFormulaAndFold:
         assert [check for check, _ in failures] == ["generate"]
         assert "the product of element 2 by 'c' is not element 3" in failures[0][1]
 
-    def test_corrupted_table_entry_is_caught(self, d4):
+    def test_swapped_elements_are_caught(self, d4):
+        # the elements of a and b trade vertices, so the formula step from
+        # each lands on a matrix the fold does not give there
         G = generate_group(d4)
-        row = G.step[0]
-        G.step[0] = (row[1],) + row[1:]  # the a-neighbour of the identity is now b
-        assert sign_formula_mismatches(G) == [("a",)]
+        G.elements[1], G.elements[2] = G.elements[2], G.elements[1]
+        assert sign_formula_mismatches(G) == [
+            ("a",), ("b",), ("b", "a", "c"), ("c", "b", "c"),
+            ("a", "b", "c", "a", "c"), ("c", "b", "c", "a", "c"),
+        ]
 
     def test_missing_identity_is_the_empty_word(self, d4):
         G = generate_group(d4)
@@ -221,9 +225,9 @@ class TestLeftActionAndEmbedding:
             for x, h in itertools.product(G.elements, repeat=2):
                 product = G.elements[G.multiply(x.index, h.index)]
                 moved = x.matrix.apply_to_vector(
-                    embed_vertex(g.labels, G.subsets[h.index])
+                    embed_vertex(g.labels, vertex_subset(G, h.index))
                 )
-                assert moved == embed_vertex(g.labels, G.subsets[product.index])
+                assert moved == embed_vertex(g.labels, vertex_subset(G, product.index))
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_adjacency_is_symmetric_difference_one(self, rank):
@@ -233,5 +237,5 @@ class TestLeftActionAndEmbedding:
             G = generate_group(g)
             adjacent = {frozenset((u, v)) for u, v, _ in G.cayley.edges}
             for x, y in itertools.combinations(G.elements, 2):
-                delta = len(G.subsets[x.index] ^ G.subsets[y.index])
+                delta = len(vertex_subset(G, x.index) ^ vertex_subset(G, y.index))
                 assert (frozenset((x.index, y.index)) in adjacent) == (delta == 1)
