@@ -182,7 +182,7 @@ def parse_perm_group(doc: str) -> tuple[tuple[str, ...], list[Perm]]:
                 raise NonDisjointCyclesError(f"point moved twice in {name!r}", lineno)
             seen.update(c)
         perm = Perm.from_cycles(len(moved), [tuple(number[p] for p in c) for c in cycles])
-        if perm.is_identity or not (perm * perm).is_identity:
+        if perm.is_identity:  # else disjoint transpositions, so an involution
             raise NotInvolutionError(name)
         perms.append(perm)
     return tuple(labels), perms

@@ -171,7 +171,11 @@ def trajectory(g: DecoratedGraph, s1: str, s2: str) -> Trajectory:
     _check_label(g.involutions, s2)
     if s1 == s2:
         raise DistinctLabelsRequiredError(s1)
-    terms = _terms(g.involutions, s1, s2)
+    inv = g.involutions
+    s3 = inv[s2][s1]
+    s4 = inv[s3][s2]
+    s5 = inv[s4][s3]
+    terms = (s1, s2, s3, s4, s5, inv[s5][s4])
     if terms[4:6] != (s1, s2):
         kind = TrajectoryKind.NOT_PERIODIC
     else:
@@ -183,15 +187,6 @@ def trajectory(g: DecoratedGraph, s1: str, s2: str) -> Trajectory:
         else:
             kind = TrajectoryKind.FOUR_CYCLE
     return Trajectory((s1, s2), terms, kind)
-
-
-def _terms(inv, s1, s2) -> tuple[str, str, str, str, str, str]:
-    """First six terms of the recurrence, by direct lookups in the involution
-    table `inv`; the seed labels are not checked."""
-    s3 = inv[s2][s1]
-    s4 = inv[s3][s2]
-    s5 = inv[s4][s3]
-    return (s1, s2, s3, s4, s5, inv[s5][s4])
 
 
 def holonomy(g: DecoratedGraph, s1: str, s2: str) -> Permutation:
@@ -222,11 +217,6 @@ class AdmissibilityFailure:
 class AdmissibilityReport:
     admissible: bool
     failures: tuple[AdmissibilityFailure, ...]
-
-
-def seed_pairs(g: DecoratedGraph):
-    """All ordered pairs of distinct labels, in label order."""
-    return ((u, v) for u, v in itertools.product(g.labels, repeat=2) if u != v)
 
 
 def _failing_seeds(labels, inv):
@@ -371,5 +361,6 @@ def presentation_relators(g: DecoratedGraph) -> list[tuple[str, ...]]:
     """
     require_admissible(g)
     squares = [(s, s) for s in g.labels]
-    classes = {_canonical_cycle(trajectory(g, u, v).period) for u, v in seed_pairs(g)}
+    classes = {_canonical_cycle(trajectory(g, u, v).period)
+               for u, v in itertools.permutations(g.labels, 2)}
     return squares + sorted(classes)

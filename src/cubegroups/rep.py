@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import orbits, perm_image
-from .errors import RankTooSmallError, UnknownLabelError
+from .decompose import orbits, perm_image, two_orbit_check
+from .errors import UnknownLabelError
 from .graphs import DecoratedGraph, j_getters, require_admissible
 from .group import CubeGroup
 from .signedperm import SignedPermutation
@@ -124,7 +124,6 @@ def invariant_coordinate_subspaces(g: DecoratedGraph) -> list[frozenset[str]]:
 
 def is_reducible(g: DecoratedGraph) -> bool:
     """Whether the representation splits over coordinate blocks (expected true
-    for every admissible graph of rank >= 2)."""
-    if g.rank < 2:
-        raise RankTooSmallError(g.rank, 2)
-    return len(invariant_coordinate_subspaces(g)) >= 2
+    for every admissible graph of rank >= 2): the blocks are the orbits, so
+    this is `two_orbit_check`."""
+    return two_orbit_check(g)

@@ -63,10 +63,13 @@ class SignedPermutation:
         return self
 
     @classmethod
-    def _from_point_images(cls, labels, images) -> "SignedPermutation":
-        """Inverse of `point_images`, trusting ``images`` to be one."""
-        return cls._trusted(labels, tuple([x >> 1 for x in images[::2]]),
-                            tuple([1 - 2 * (x & 1) for x in images[::2]]))
+    def _from_point_images(cls, labels, images, perms) -> "SignedPermutation":
+        """Inverse of `point_images`, trusting ``images`` to be one; the values
+        decoded with one dict ``perms`` share one tuple per permutation part."""
+        plus = images[::2]
+        perm = tuple([x >> 1 for x in plus])
+        return cls._trusted(labels, perms.setdefault(perm, perm),
+                            tuple([1 - 2 * (x & 1) for x in plus]))
 
     def point_images(self) -> tuple[int, ...]:
         """The map on the 2n points +-e_t: point 2i is +e_{labels[i]} and point

@@ -50,21 +50,8 @@ PLANAR_REORDER_RANK_CAP = 3  # check every planar re-ordering up to this rank
 def involutions_of(points) -> list[dict[str, str]]:
     """All involutions of a point set, ordered lexicographically by image tuple."""
     points = sorted(points)
-
-    def rec(remaining):
-        if not remaining:
-            yield {}
-            return
-        p, rest = remaining[0], remaining[1:]
-        for tail in rec(rest):
-            yield {p: p, **tail}
-        for i, q in enumerate(rest):
-            for tail in rec(rest[:i] + rest[i + 1:]):
-                yield {p: q, q: p, **tail}
-
-    out = list(rec(points))
-    out.sort(key=lambda j: tuple(j[p] for p in points))
-    return out
+    maps = (dict(zip(points, images)) for images in itertools.permutations(points))
+    return [j for j in maps if all(j[q] == p for p, q in j.items())]
 
 
 def involution_count(m: int) -> int:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from cubegroups import cli, decompose
 from cubegroups.cli import main
+from cubegroups.errors import InternalConsistencyError, NotADecompositionError
+
+# the package re-exports the function `sweep` under the module's name
+sweep_module = importlib.import_module("cubegroups.sweep")
 
 D4_DOC = "gens: a b c\na: (b c)\n"
 RANK5_DOC = (
@@ -73,12 +79,29 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "error[parse]" in err and "line 1" in err
 
+    def test_empty_generator_list_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "empty.dg"
+        path.write_text("gens:\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "error[parse]: empty generator list (line 1)\n"
+
 
 class TestGroup:
     def test_d4(self, d4_file, capsys):
         assert main(["group", d4_file]) == 0
         out = capsys.readouterr().out
         assert "order 8 = 2^3" in out
+
+    def test_internal_error_exits_three(self, d4_file, capsys, monkeypatch):
+        def broken(g):
+            raise InternalConsistencyError("an admissible graph did not generate a cube group")
+
+        monkeypatch.setattr(cli, "generate_group", broken)
+        assert main(["group", d4_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error[internal]: an admissible graph did not generate a cube group\n")
 
     def test_rank5(self, rank5_file, capsys):
         assert main(["group", rank5_file]) == 0
@@ -114,6 +137,18 @@ class TestOrbits:
         payload = json.loads(capsys.readouterr().out)
         assert payload["orbits"] == [["a"], ["b", "c"]]
 
+    def test_tree_json(self, d4_file, capsys):
+        assert main(["orbits", d4_file, "--tree", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+
+        def leaf(s):
+            return {"labels": [s], "children": []}
+
+        assert payload == {"format_version": 1, "tree": {
+            "labels": ["a", "b", "c"],
+            "children": [leaf("a"), {"labels": ["b", "c"], "children": [leaf("b"), leaf("c")]}],
+        }}
+
 
 class TestDecompose:
     def test_d4(self, d4_file, capsys):
@@ -121,6 +156,18 @@ class TestDecompose:
         out = capsys.readouterr().out
         assert "ordering: a b c" in out
         assert "G = <a><b><c>" in out
+
+    def test_not_a_decomposition_exits_one(self, d4_file, capsys, monkeypatch):
+        def collide(G, ordering):
+            raise NotADecompositionError(ordering, ((0, 0, 1), (1, 0, 0)))
+
+        monkeypatch.setattr(decompose, "normal_form", collide)
+        assert main(["decompose", d4_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error[not-a-decomposition]: ordering ['a', 'b', 'c'] is not a product"
+            " decomposition; bit vectors (0, 0, 1) and (1, 0, 0) give the same element\n")
 
 
 class TestNormalForm:
@@ -209,6 +256,22 @@ class TestEnumerate:
     def test_rank3(self, capsys):
         assert main(["enumerate", "--rank", "3"]) == 0
         assert "8 graphs, 4 admissible, 4 verified" in capsys.readouterr().out
+
+    def test_failing_check_is_reported(self, capsys, monkeypatch):
+        def collide(G, ordering):
+            raise NotADecompositionError(ordering, ((0, 0, 0), (1, 0, 0)))
+
+        monkeypatch.setattr(sweep_module, "normal_form", collide)
+        assert main(["enumerate", "--rank", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "rank 3: 8 graphs, 4 admissible, 0 verified"
+        assert lines[1] == (
+            "  FAIL graph 0: normal-form: ('a', 'b', 'c'): ordering ['a', 'b', 'c'] is not a"
+            " product decomposition; bit vectors (0, 0, 0) and (1, 0, 0) give the same element")
+        # every planar ordering of each admissible graph (indices 0, 1, 2 and 4) fails
+        assert len(lines) == 1 + 6 + 4 + 4 + 4
+        assert {line.split(":")[0] for line in lines[1:]} == {
+            f"  FAIL graph {i}" for i in (0, 1, 2, 4)}
 
     def test_rank_cap(self, capsys):
         assert main(["enumerate", "--rank", "9"]) == 1

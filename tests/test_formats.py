@@ -94,6 +94,20 @@ class TestParseDecoratedGraph:
             parse_decorated_graph(f"# header follows\ngens: {label} b\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("doc, message, line", [
+        ("gens: a b\na: (b a\n", "expected a cycle at '(b a' (line 2)", 2),
+        ("gens:\n", "empty generator list (line 1)", 1),
+        ("# only a comment\n", "missing 'gens:' header", None),
+        ("gens: a b\nc: (a b)\n", "unknown generator 'c' (line 2)", 2),
+        ("gens: a b c\na: (b c)\na: id\n", "generator 'a' declared twice (line 3)", 3),
+    ])
+    def test_rejection_message_and_line(self, doc, message, line):
+        with pytest.raises(ParseError) as exc:
+            parse_decorated_graph(doc)
+        assert type(exc.value) is ParseError
+        assert str(exc.value) == message
+        assert exc.value.line == line
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -149,8 +163,9 @@ class TestParsePermGroup:
             parse_perm_group("a = (1 01)(2 3)\n")
 
     def test_rejects_identity_generator(self):
-        with pytest.raises(NotInvolutionError):
-            parse_perm_group("a = (1 2)\nb =\n")
+        for doc in ("a = (1 2)\nb =\n", "a = (1 2)\nb = id\n"):
+            with pytest.raises(NotInvolutionError):
+                parse_perm_group(doc)
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ParseError) as exc:
@@ -167,6 +182,18 @@ class TestParsePermGroup:
         with pytest.raises(ParseError, match="bad label") as exc:
             parse_perm_group(f"a = (1 2)\n{name} = (3 4)\n")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("doc, message", [
+        ("a (1 2)\n", "expected '<label> = <cycles>', got 'a (1 2)' (line 1)"),
+        ("a = (1 x)\n", "non-integer point in cycle ('1', 'x') (line 1)"),
+        ("a = (0 1)\n", "points must be positive integers (line 1)"),
+    ])
+    def test_rejection_message_and_line(self, doc, message):
+        with pytest.raises(ParseError) as exc:
+            parse_perm_group(doc)
+        assert type(exc.value) is ParseError
+        assert str(exc.value) == message
+        assert exc.value.line == 1
 
 
 class TestDotExport:

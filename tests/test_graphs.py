@@ -22,7 +22,6 @@ from cubegroups.graphs import (
     identity_permutation,
     is_admissible,
     presentation_relators,
-    seed_pairs,
     trajectory,
 )
 from cubegroups.sweep import enumerate_decorated_graphs
@@ -227,14 +226,14 @@ class TestInvariants:
         for g in enumerate_decorated_graphs(rank):
             if not admissible_quick(g):
                 continue
-            for u, v in seed_pairs(g):
+            for u, v in itertools.permutations(g.labels, 2):
                 t = trajectory(g, u, v)
                 assert t.terms[4] == u and t.terms[5] == v
 
     @pytest.mark.parametrize("rank", [3, 4])
     def test_reversal_closure(self, rank):
         for g in enumerate_decorated_graphs(rank):
-            for u, v in seed_pairs(g):
+            for u, v in itertools.permutations(g.labels, 2):
                 fwd = trajectory(g, u, v)
                 rev = trajectory(g, v, u)
                 assert fwd.is_periodic == rev.is_periodic
@@ -247,7 +246,7 @@ class TestInvariants:
             if not admissible_quick(g):
                 continue
             ident = identity_permutation(g.labels)
-            for u, v in seed_pairs(g):
+            for u, v in itertools.permutations(g.labels, 2):
                 assert holonomy(g, u, v) == ident
 
 

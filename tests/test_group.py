@@ -24,7 +24,6 @@ from cubegroups.graphs import (
     DecoratedGraph,
     admissible_quick,
     require_admissible,
-    seed_pairs,
     trajectory,
 )
 from cubegroups.group import (
@@ -270,7 +269,7 @@ class TestGenerateGroup:
                 assert word_matrix(g, word) == e.matrix
 
     def test_relator_matrices_are_identity(self, rank5):
-        for u, v in seed_pairs(rank5):
+        for u, v in itertools.permutations(rank5.labels, 2):
             period = trajectory(rank5, u, v).period
             assert word_matrix(rank5, period).is_identity
 
@@ -435,6 +434,29 @@ class TestCayleyTable:
             assert is_hypercube(G.cayley).coords == {i: i for i in range(G.order)}
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_edge_list_passes_validation(self, rank):
+        for g, G in admissible_groups(rank):
+            assert LabeledGraph(G.cayley.vertices, G.cayley.edges) == G.cayley
+
+    def test_edge_list_passes_validation_rank5_and_rank8_union(self, rank5):
+        for g in (rank5, rank5_plus_d4(rank5)):
+            G = generate_group(g)
+            assert LabeledGraph(G.cayley.vertices, G.cayley.edges) == G.cayley
+
+    def test_edge_list_is_not_revalidated(self, rank5, monkeypatch):
+        # the closure certified the Cayley graph; validation runs only for
+        # graphs a caller builds
+        def validate(self):
+            raise AssertionError("the Cayley edge list was validated again")
+
+        G = generate_group(rank5)
+        monkeypatch.setattr(LabeledGraph, "__post_init__", validate)
+        assert type(G.cayley) is LabeledGraph
+        assert len(G.cayley.edges) == 5 * 2 ** 4
+        with pytest.raises(AssertionError, match="validated again"):
+            LabeledGraph((0, 1), ((0, 1, "a"),))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_subsets_are_the_negated_coordinates(self, rank):
         for g, G in admissible_groups(rank):
             for e in G.elements:
@@ -589,6 +611,19 @@ class TestDecoratedGraphFromGroup:
 
         with pytest.raises(ValueError, match="bad label"):
             decorated_graph_from_group([1, 2], ("a", "b c"), mul)
+
+    def test_no_generators(self):
+        with pytest.raises(RankTooSmallError):
+            decorated_graph_from_group([], ())
+
+    def test_equal_generators(self):
+        gens = [Perm.from_cycles(2, [(0, 1)]), Perm.from_cycles(2, [(0, 1)])]
+        with pytest.raises(NotACubeGroupError, match="generators are not pairwise distinct"):
+            decorated_graph_from_group(gens, ("a", "b"))
+
+    def test_one_generator_for_two_labels(self):
+        with pytest.raises(ValueError, match="one generator per label required"):
+            decorated_graph_from_group([Perm.from_cycles(2, [(0, 1)])], ("a", "b"))
 
     def test_rejects_non_involution(self):
         gens = [Perm.from_cycles(3, [(0, 1)]), Perm((1, 2, 0))]

@@ -174,7 +174,7 @@ def test_point_images(x, y):
     # decoding gives x back; composing matrices composes the point maps
     images = x.point_images()
     assert sorted(images) == list(range(2 * len(LABELS)))
-    assert SignedPermutation._from_point_images(LABELS, images) == x
+    assert SignedPermutation._from_point_images(LABELS, images, {}) == x
     composed = tuple(images[q] for q in y.point_images())
     assert x.compose(y).point_images() == composed
 

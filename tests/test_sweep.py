@@ -37,11 +37,15 @@ def test_involution_count_closed_form():
 
 
 def test_involutions_of_is_exhaustive_and_sorted():
-    invs = involutions_of("bcd")
-    assert len(invs) == involution_count(3)
-    keys = [tuple(j[p] for p in "bcd") for j in invs]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
+    for m in range(8):
+        points = "bcdefgh"[:m]
+        invs = involutions_of(points[::-1])  # any order in, sorted points out
+        assert len(invs) == involution_count(m)
+        assert all(sorted(j) == list(points) and all(j[j[p]] == p for p in points)
+                   for j in invs)
+        keys = [tuple(j[p] for p in points) for j in invs]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
 
 
 @pytest.mark.parametrize(
