@@ -4,13 +4,15 @@ The involutions of a decorated graph generate an action of the whole group on
 its label set (each generator acts by its own involution).  Orbits of that
 action are invariant subsets; recursing into the restricted graphs gives the
 orbit tree, whose leaf order is exactly an ordering for which every group
-element factors uniquely as a product of 0/1 powers of the generators.
+element factors uniquely as a product of 0/1 powers of the generators: its
+normal form permutes the cube's vertices, and the powers are read off it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     InternalConsistencyError,
@@ -47,21 +49,16 @@ class OrbitPartition:
 
 def orbits(g: DecoratedGraph) -> OrbitPartition:
     """Orbits of the label set under all involutions, ordered by least label."""
-    remaining = list(g.labels)
     blocks = []
-    while remaining:
-        seed = remaining[0]
-        block = {seed}
-        frontier = [seed]
-        while frontier:
-            x = frontier.pop()
-            for t in g.labels:
-                y = g.involutions[t][x]
-                if y not in block:
-                    block.add(y)
-                    frontier.append(y)
+    for seed in g.labels:
+        if any(seed in b for b in blocks):
+            continue
+        block, frontier = {seed}, [seed]
+        for x in frontier:  # the list grows while it is walked
+            new = {j[x] for j in g.involutions.values()} - block
+            block |= new
+            frontier += new
         blocks.append(frozenset(block))
-        remaining = [s for s in remaining if s not in block]
     return OrbitPartition(tuple(blocks))
 
 
@@ -119,28 +116,41 @@ def planar_orderings(tree: OrbitTree):
 
 @dataclass(frozen=True)
 class NormalForm:
+    """The bijection {0,1}^n <-> G of an ordering s1, ..., sn, as two lists:
+    ``vertices[b]`` is the index of s1^m1 ... sn^mn, b reading m1 ... mn as a
+    binary number (``itertools.product`` order), and ``codes`` its inverse."""
+
     ordering: tuple[str, ...]
-    to_element: dict[tuple[int, ...], GroupElement]
-    from_element: dict[int, tuple[int, ...]]  # element index -> bit vector
+    vertices: list[int]
+    codes: list[int]
+
+    @cached_property
+    def _halves(self):  # b's high and low bits, each at most 2^ceil(n/2) tuples
+        h = len(self.ordering) // 2
+        tables = (list(itertools.product((0, 1), repeat=r)) for r in (len(self.ordering) - h, h))
+        return (h, (1 << h) - 1, *tables)
 
     def bits_for(self, element: GroupElement) -> tuple[int, ...]:
-        return self.from_element[element.index]
+        if element.index < 0:  # the list would count it from the end
+            raise IndexError(f"element index {element.index} is negative")
+        b = self.codes[element.index]
+        h, mask, high, low = self._halves
+        return high[b >> h] + low[b & mask]
 
     def word_for(self, element: GroupElement) -> tuple[str, ...]:
-        bits = self.from_element[element.index]
-        return tuple(s for s, m in zip(self.ordering, bits) if m)
+        return tuple(s for s, m in zip(self.ordering, self.bits_for(element)) if m)
 
 
 def normal_form(G: CubeGroup, ordering) -> NormalForm:
     """Tabulate all 2^n products s1^m1 ... sn^mn and verify they are distinct.
 
-    Each product is a walk from the identity by right multiplication,
-    `G.step`, one factor at a time along the ordering.  Extending each
-    prefix by 0, then 1 yields the bit vectors in ``itertools.product`` order.
-    The tabulation itself is the verification: a collision raises
-    NotADecompositionError with the earlier and the later bit vector.  An
-    ordering with a letter outside the labels raises UnknownLabelError for
-    that letter; one that misses or repeats a label raises ValueError.
+    Each factor of the ordering doubles the list of products, following
+    each by its product with the factor (`G.step`), so the bit vectors come
+    in ``itertools.product`` order.  The tabulation itself is the
+    verification: a collision raises NotADecompositionError with the earlier
+    and the later bit vector.  An ordering with a letter outside the labels
+    raises UnknownLabelError for that letter; one that misses or repeats a
+    label raises ValueError.
     """
     ordering = tuple(ordering)
     pos = {s: k for k, s in enumerate(G.graph.labels)}
@@ -152,22 +162,16 @@ def normal_form(G: CubeGroup, ordering) -> NormalForm:
     if missing or repeated:
         raise ValueError(
             f"ordering must list each label once: missing {missing}, repeated {repeated}")
-    step = G.step
-    walks = [((), 0)]  # (bits so far, index of the product so far)
+    step, vertices = G.step, [0]
     for k in [pos[s] for s in ordering]:
-        longer = []
-        for bits, i in walks:
-            longer.append((bits + (0,), i))
-            longer.append((bits + (1,), step(i, k)))
-        walks = longer
-    to_element = {}
-    from_element = {}
-    for bits, i in walks:
-        if i in from_element:
-            raise NotADecompositionError(ordering, (from_element[i], bits))
-        to_element[bits] = G.elements[i]
-        from_element[i] = bits
-    return NormalForm(ordering, to_element, from_element)
+        vertices = [j for i in vertices for j in (i, step(i, k))]
+    codes = [None] * len(vertices)
+    for b, i in enumerate(vertices):
+        if codes[i] is not None:
+            raise NotADecompositionError(ordering, tuple(
+                tuple(map(int, f"{c:0{len(ordering)}b}")) for c in (codes[i], b)))
+        codes[i] = b
+    return NormalForm(ordering, vertices, codes)
 
 
 def two_orbit_check(g: DecoratedGraph) -> bool:

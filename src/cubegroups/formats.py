@@ -190,6 +190,8 @@ def parse_perm_group(doc: str) -> tuple[tuple[str, ...], list[Perm]]:
 
 def subset_name(G: CubeGroup, index: int) -> str:
     """The vertex subset of an element: the labels of its index's set bits."""
+    if not 0 <= index < G.order:  # any other int's bits would name some subset
+        raise IndexError(f"element index {index} is outside 0..{G.order - 1}")
     ordered = [s for k, s in enumerate(G.graph.labels) if index >> k & 1]
     if not ordered:
         return "1"

@@ -145,6 +145,10 @@ class TrajectoryKind(Enum):
     NOT_PERIODIC = "not-periodic"
 
 
+_PERIODIC_KINDS = {  # by the number of distinct labels one period visits
+    2: TrajectoryKind.SINGLE_EDGE, 3: TrajectoryKind.ANGLE, 4: TrajectoryKind.FOUR_CYCLE}
+
+
 @dataclass(frozen=True)
 class Trajectory:
     seed: tuple[str, str]
@@ -179,13 +183,7 @@ def trajectory(g: DecoratedGraph, s1: str, s2: str) -> Trajectory:
     if terms[4:6] != (s1, s2):
         kind = TrajectoryKind.NOT_PERIODIC
     else:
-        distinct = len(set(terms[:4]))
-        if distinct == 2:
-            kind = TrajectoryKind.SINGLE_EDGE
-        elif distinct == 3:
-            kind = TrajectoryKind.ANGLE
-        else:
-            kind = TrajectoryKind.FOUR_CYCLE
+        kind = _PERIODIC_KINDS[len(set(terms[:4]))]
     return Trajectory((s1, s2), terms, kind)
 
 
@@ -200,10 +198,6 @@ def holonomy(g: DecoratedGraph, s1: str, s2: str) -> Permutation:
     inv = g.involutions
     j1, j2, j3, j4 = (inv[s] for s in traj.period)
     return {t: j4[j3[j2[j1[t]]]] for t in g.labels}
-
-
-def identity_permutation(labels) -> Permutation:
-    return {s: s for s in labels}
 
 
 @dataclass(frozen=True)

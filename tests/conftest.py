@@ -43,6 +43,16 @@ def rank5():
 
 
 @pytest.fixture
+def rank12_union(rank5):
+    """The rank-5 fixture plus disjoint D4, Klein and Klein graphs, the shape of
+    the benchmark's rank-12 union: j_s is the identity outside the component
+    of s, so the union is admissible."""
+    swaps = {s: [(u, v) for u, v in rank5.involutions[s].items() if u < v]
+             for s in rank5.labels}
+    return graph_from("abcdefghijkl", {**swaps, "f": [("g", "h")]})
+
+
+@pytest.fixture
 def bad_rank3():
     """Non-admissible rank-3 graph (trajectories fail 4-periodicity)."""
     return graph_from("abc", {"a": [("b", "c")], "b": [("a", "c")]})

@@ -74,7 +74,9 @@ def test_criterion_1_dihedral_end_to_end():
     ordering = decomposition_ordering(orbit_tree(g))
     assert ordering == ("a", "b", "c")
     nf = normal_form(G, ordering)
-    assert len(nf.to_element) == 8
+    assert sorted(nf.vertices) == list(range(8))
+    assert [nf.bits_for(G.elements[v]) for v in nf.vertices] == list(
+        itertools.product((0, 1), repeat=3))
 
     rho = {s: generator_rho(g, s) for s in "abc"}
     assert rho["b"].compose(rho["a"]) == rho["a"].compose(rho["c"])          # ba = ac

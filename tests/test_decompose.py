@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -20,7 +22,7 @@ from cubegroups.errors import (
     UnknownLabelError,
 )
 from cubegroups.graphs import admissible_quick
-from cubegroups.group import generate_group, generator_rho
+from cubegroups.group import GroupElement, generate_group, generator_rho
 from cubegroups.signedperm import SignedPermutation
 from cubegroups.sweep import enumerate_decorated_graphs
 
@@ -160,8 +162,34 @@ class TestNormalForm:
     def test_rank1(self, rank1):
         G = generate_group(rank1)
         nf = normal_form(G, ("a",))
-        assert nf.to_element[(0,)].index == 0
-        assert nf.to_element[(1,)].matrix == generator_rho(rank1, "a")
+        assert G.elements[nf.vertices[0]].index == 0
+        assert G.elements[nf.vertices[1]].matrix == generator_rho(rank1, "a")
+        assert [nf.bits_for(e) for e in G.elements] == [(0,), (1,)]
+
+    @pytest.mark.parametrize("index", [-1, 8])
+    def test_bits_for_an_index_outside_the_group(self, d4, index):
+        G = generate_group(d4)
+        nf = normal_form(G, ("a", "b", "c"))
+        outside = GroupElement(index, G.elements[0].matrix)
+        with pytest.raises(IndexError):  # -1 would read the last vertex's code
+            nf.bits_for(outside)
+        with pytest.raises(IndexError):
+            nf.word_for(outside)
+
+    def test_rank12_normal_form_retains_two_int_lists(self, rank12_union):
+        # 0.30 MB measured on CPython 3.11: two lists of 4,096 ints.  Tables of
+        # the 4,096 bit tuples, as dicts keyed by tuple, retained 1.56 MB.
+        G = generate_group(rank12_union)
+        ordering = decomposition_ordering(orbit_tree(rank12_union))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            nf = normal_form(G, ordering)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(nf.vertices) == list(range(4096))
+        assert retained < 0.6e6
 
     def test_rejects_non_permutation_ordering(self, d4):
         G = generate_group(d4)
@@ -189,16 +217,19 @@ class TestNormalForm:
             G = generate_group(g)
             for ordering in planar_orderings(orbit_tree(g)):
                 nf = normal_form(G, ordering)
-                assert len(nf.to_element) == 2 ** rank
+                assert sorted(nf.vertices) == list(range(2 ** rank))
+                assert [nf.bits_for(G.elements[v]) for v in nf.vertices] == list(
+                    itertools.product((0, 1), repeat=rank))
 
 
 def fold_normal_form(G, ordering):
     """Reference tabulation by matrix folds: each product s1^m1 ... sn^mn is
     composed from the generator matrices and looked up in the group.
 
-    Returns ``(to_element, from_element, collision)``; on the first bit vector
-    in product order that reaches an element already reached, the tables are
-    None and `collision` holds the earlier bit vector and that one.
+    Returns ``(to_element, collision)``: `to_element` maps each bit vector, in
+    product order, to its element; on the first bit vector that reaches an
+    element already reached, it is None and `collision` holds the earlier bit
+    vector and that one.
     """
     rho = {s: generator_rho(G.graph, s) for s in ordering}
     to_element = {}
@@ -210,10 +241,10 @@ def fold_normal_form(G, ordering):
                 m = m.compose(rho[s])  # rightmost factor applied first
         elem = G.element_for_matrix(m)
         if elem.index in from_element:
-            return None, None, (from_element[elem.index], bits)
+            return None, (from_element[elem.index], bits)
         to_element[bits] = elem
         from_element[elem.index] = bits
-    return to_element, from_element, None
+    return to_element, None
 
 
 class TestNormalFormAgainstFolds:
@@ -229,11 +260,14 @@ class TestNormalFormAgainstFolds:
             planar = set(planar_orderings(orbit_tree(g)))
             assert decomposition_ordering(orbit_tree(g)) in planar
             for ordering in itertools.permutations(g.labels):
-                to_element, from_element, collision = fold_normal_form(G, ordering)
+                to_element, collision = fold_normal_form(G, ordering)
                 if collision is None:
                     nf = normal_form(G, ordering)
-                    assert nf.to_element == to_element
-                    assert nf.from_element == from_element
+                    for b, (bits, elem) in enumerate(to_element.items()):
+                        assert G.elements[nf.vertices[b]] is elem
+                        assert nf.codes[elem.index] == b
+                        assert nf.bits_for(elem) == bits
+                        assert nf.word_for(elem) == tuple(s for s, m in zip(ordering, bits) if m)
                 else:
                     assert ordering not in planar
                     collisions += 1
@@ -244,7 +278,7 @@ class TestNormalFormAgainstFolds:
 
     def test_d4_collision_pair(self, d4):
         G = generate_group(d4)
-        _, _, collision = fold_normal_form(G, ("b", "a", "c"))
+        _, collision = fold_normal_form(G, ("b", "a", "c"))
         with pytest.raises(NotADecompositionError) as exc:
             normal_form(G, ("b", "a", "c"))
         assert exc.value.collision == collision == ((0, 1, 1), (1, 1, 0))  # ac = ba

@@ -209,6 +209,12 @@ class TestDotExport:
         assert subset_name(G, 0) == "1"
         assert 'v0 [label="1"];' in cayley_dot(G)
 
+    @pytest.mark.parametrize("index", [-1, 8, -9])
+    def test_subset_name_outside_the_group(self, d4, index):
+        G = generate_group(d4)  # 8 read as bits names the identity, -1 names "abc"
+        with pytest.raises(IndexError):
+            subset_name(G, index)
+
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_counts_over_population(self, rank):
         for g in enumerate_decorated_graphs(rank):

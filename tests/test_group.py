@@ -550,6 +550,24 @@ class TestDecoratedGraphFromGroup:
             decorated_graph_from_group(gens, ("a", "b"))
         assert "the product of 'a' and 'b' is not on the cube's second layer" in str(exc.value)
 
+    def test_oracle_whose_graph_fails_holonomy(self):
+        # Not a group: the product of labels s != t is the token {s, j_s(t)},
+        # so the second layer reads back j_c = (b d), j_d = (a b), which is
+        # 4-periodic but fails holonomy.  For a group the pairing forces
+        # 4-periodicity; an arbitrary oracle is not held to that.
+        j = {"a": {}, "b": {}, "c": {"b": "d", "d": "b"}, "d": {"a": "b", "b": "a"}}
+
+        def mul(x, y):
+            if x == "e":
+                return y
+            return "e" if x == y else frozenset({x, j[x].get(y, y)})
+
+        with pytest.raises(NotACubeGroupError) as exc:
+            decorated_graph_from_group(list("abcd"), tuple("abcd"), mul)
+        assert exc.value.reason == (
+            "extracted decorated graph is not admissible (('b', 'c'):Holonomy,"
+            " ('c', 'b'):Holonomy, ('c', 'd'):Holonomy, ('d', 'c'):Holonomy)")
+
     @pytest.mark.parametrize("m", [5, 6, 7, 8])
     def test_closure_stops_past_two_to_the_n(self, m):
         # two reflections of the m-gon (their product is an m-cycle) and the
@@ -772,17 +790,14 @@ class TestVertexNumbering:
         with pytest.raises(KeyError):  # its vertex lies past the group's
             G.element_for_matrix(SignedPermutation(tuple("abcd"), (0, 1, 2, 3), (1, 1, 1, -1)))
 
-    def test_rank12_group_retains_no_table(self, rank5):
+    def test_rank12_group_retains_no_table(self, rank12_union):
         # 1.14 MB measured on CPython 3.11: per element a matrix and its signs
         # tuple, with one perm tuple per permutation part.  A stored table of
         # the 12 neighbours per element adds at least 0.39 MB, even as one flat list.
-        swaps = {s: [(u, v) for u, v in rank5.involutions[s].items() if u < v]
-                 for s in rank5.labels}
-        g = graph_from("abcdefghijkl", {**swaps, "f": [("g", "h")]})  # + D4 + Klein + Klein
         gc.collect()
         tracemalloc.start()
         try:
-            G = generate_group(g)
+            G = generate_group(rank12_union)
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,11 +1,13 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or any module
+outside the standard library.
 
-The one exception is a name that perfbench/layers.py traces in that module:
+The one exception to the first rule is a name that perfbench/layers.py traces in that module:
 the traced benchmark patches it there, so the module must keep the binding.
 """
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,28 @@ def test_the_check_sees_an_unused_import():
     source = "from __future__ import annotations\nimport os\nfrom a import b, c as d\n"
     assert unused_imports(source + "__all__ = ['b']\n") == ["d", "os"]
     assert unused_imports(source + "os.sep\nd()\n__all__ = ('b',)\n") == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level modules imported absolutely that are not in the standard
+    library (which lists __future__): ``src/`` has no dependencies."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    tops = {name.partition(".")[0] for name in names}
+    return sorted(tops - sys.stdlib_module_names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_stdlib_only(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_the_check_sees_a_dependency():
+    source = "from __future__ import annotations\nimport itertools, os.path\nfrom . import group\n"
+    assert foreign_imports(source) == []
+    assert foreign_imports(source + "import numpy\nfrom scipy.linalg import det\n") == [
+        "numpy", "scipy"]
