@@ -31,9 +31,19 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
+def _read(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 are a ParseError at their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())  # as the parsers count
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text", line) from None
+
+
 def _load_graph(path: str) -> graphs.DecoratedGraph:
-    with open(path, encoding="utf-8") as fh:
-        return formats.parse_decorated_graph(fh.read())
+    return formats.parse_decorated_graph(_read(path))
 
 
 def _parse_word(text: str) -> tuple[str, ...]:
@@ -153,8 +163,7 @@ def cmd_rep(args) -> int:
 
 
 def cmd_from_group(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        labels, perms = formats.parse_perm_group(fh.read())
+    labels, perms = formats.parse_perm_group(_read(args.file))
     try:
         g = decorated_graph_from_group(perms, labels)
     except NotACubeGroupError as exc:

@@ -30,7 +30,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .graphs import DecoratedGraph, j_getters, require_admissible, validate_label
-from .signedperm import SignedPermutation
+from .signedperm import Perm, SignedPermutation
 
 RANK_CAP = 20  # bitmask vertex indexing
 
@@ -367,7 +367,11 @@ def _closure(generators, labels, rights):
     return _vertex_closure(graph, rights, ident), graph
 
 
-def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> DecoratedGraph:
+def _times(a, b):
+    return a * b
+
+
+def decorated_graph_from_group(generators, labels, mul=_times) -> DecoratedGraph:
     """Extract the decorated graph from involutive generators of a cube group.
 
     Works with any multiplication oracle over hashable, equality-comparable
@@ -377,6 +381,14 @@ def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> De
     cube vertex; for a group each map read is an involution, and for another
     oracle a map that is not, or a graph that is not admissible, raises
     NotACubeGroupError.
+
+    `Perm` generators of one degree n >= 2 under the default `mul` are closed
+    on their image tuples, one `itemgetter` call per product, as
+    (m * g)(q) = m(g(q)); the outcome is the same, as `_closure` names
+    elements only by label and vertex.  Every other input keeps the generic
+    oracle, which is what `_closure`'s checks are written against: `Perm`'s
+    own product reports mixed degrees, and at degree 0 or 1 `itemgetter`
+    would not return a tuple.
     """
     labels = tuple(labels)
     generators = list(generators)
@@ -388,7 +400,13 @@ def decorated_graph_from_group(generators, labels, mul=lambda a, b: a * b) -> De
         validate_label(s)
         if s in labels[:i]:
             raise DuplicateLabelError(s)
-    _, graph = _closure(generators, labels, [lambda m, g=g: mul(m, g) for g in generators])
+    if (mul is _times and all(type(x) is Perm for x in generators)
+            and len({len(x.images) for x in generators}) == 1 and len(generators[0].images) > 1):
+        generators = [x.images for x in generators]
+        rights = [itemgetter(*x) for x in generators]
+    else:
+        rights = [lambda m, g=g: mul(m, g) for g in generators]
+    _, graph = _closure(generators, labels, rights)
     return graph
 
 

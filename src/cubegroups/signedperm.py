@@ -151,7 +151,9 @@ class Perm:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
+        # sorted() alone would pass 1.0 as 1, and products index by image
+        if (not all(isinstance(x, int) for x in self.images)
+                or sorted(self.images) != list(range(len(self.images)))):
             raise ValueError("not a permutation")
 
     @classmethod

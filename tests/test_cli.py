@@ -86,6 +86,37 @@ class TestCheck:
         assert capsys.readouterr().err == "error[parse]: empty generator list (line 1)\n"
 
 
+class TestNotUtf8:
+    """A file that is not UTF-8 text is a parse error at the line of its
+    first bad byte, for both grammars and every command that reads one."""
+
+    @pytest.mark.parametrize("command", [
+        ["check"], ["group"], ["cayley"], ["orbits"], ["orbits", "--tree"], ["decompose"],
+        ["normal-form", "--word", "a"], ["rep", "--word", "a"],
+    ])
+    def test_decorated_graph(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.dg"
+        path.write_bytes(b"gens: a b c\r\na: (b c) # \xe9\n")
+        assert main([command[0], str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error[parse]: byte 0xe9 is not UTF-8 text (line 2)\n"
+
+    def test_perm_group(self, tmp_path, capsys):
+        path = tmp_path / "latin1.pg"
+        path.write_bytes(D4_PERMS.encode() + b"d = (5 6)\xff\n")
+        assert main(["from-group", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error[parse]: byte 0xff is not UTF-8 text (line 4)\n"
+
+    def test_utf8_beyond_ascii_is_read(self, tmp_path, capsys):
+        path = tmp_path / "utf8.pg"
+        path.write_bytes(D4_PERMS.encode() + "# é\n".encode())
+        assert main(["from-group", str(path)]) == 0
+        assert capsys.readouterr().out == "gens: a b c\na: (b c)\n"
+
+
 class TestGroup:
     def test_d4(self, d4_file, capsys):
         assert main(["group", d4_file]) == 0

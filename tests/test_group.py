@@ -936,3 +936,75 @@ class TestVertexClosure:
                 inputs += 1
                 accepted += isinstance(expected, DecoratedGraph)
         assert (inputs, accepted) == {4: (3609, 105), 5: (14425, 505)}[degree]
+
+
+def _generic(gens, labels):
+    """`decorated_graph_from_group` through the generic oracle, whatever the elements."""
+    return decorated_graph_from_group(gens, labels, lambda a, b: a * b)
+
+
+def _result(build, gens, labels):
+    """The graph `build` returns, or the class and message of what it raises."""
+    try:
+        return build(gens, labels)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestImageTupleClosure:
+    """`Perm` generators of one degree n >= 2 under the default product are
+    closed on their image tuples; the generic oracle is the reference."""
+
+    def test_every_tuple_of_involutions_of_s4(self):
+        identity = Perm.identity(4)
+        involutions = [p for p in map(Perm, itertools.permutations(range(4)))
+                       if p * p == identity != p]
+        inputs = accepted = 0
+        for rank in range(1, 5):
+            labels = tuple("abcd"[:rank])
+            for gens in itertools.permutations(involutions, rank):
+                expected = _result(_generic, gens, labels)
+                assert _result(decorated_graph_from_group, gens, labels) == expected, gens
+                inputs += 1
+                accepted += isinstance(expected, DecoratedGraph)
+        assert (inputs, accepted) == (3609, 105)
+
+    @pytest.mark.parametrize("gens", [
+        [Perm(())],
+        [Perm((0,))],
+        [Perm((0,)), Perm((1, 0))],
+        [Perm((1, 0)), Perm((0,))],
+        [Perm((1, 0)), Perm((0, 1, 3, 2))],
+        [Perm((0, 1, 3, 2)), Perm((1, 0))],
+        [Perm((1, 0)), (1, 0)],
+        [(1, 0), Perm((1, 0))],
+    ], ids=["degree-0", "degree-1", "degrees-1-2", "degrees-2-1", "degrees-2-4",
+            "degrees-4-2", "perm-then-tuple", "tuple-then-perm"])
+    def test_inputs_outside_the_tuple_path(self, gens):
+        labels = tuple("ab"[:len(gens)])
+        expected = _result(_generic, gens, labels)
+        assert not isinstance(expected, DecoratedGraph)
+        assert _result(decorated_graph_from_group, gens, labels) == expected
+
+    def test_rank8_union_makes_no_perm_product(self, rank5, monkeypatch):
+        g = rank5_plus_d4(rank5)
+        gens = [Perm(generator_rho(g, s).point_images()) for s in g.labels]
+        products, closures = Counter(), []
+        perm_product, closure = Perm.__mul__, group._closure
+
+        def counting_product(a, b):
+            products[len(a.images)] += 1
+            return perm_product(a, b)
+
+        def counting_closure(*args):
+            closures.append(args[1])
+            return closure(*args)
+
+        monkeypatch.setattr(Perm, "__mul__", counting_product)
+        monkeypatch.setattr(group, "_closure", counting_closure)
+        assert decorated_graph_from_group(gens, g.labels) == g
+        assert (products, closures) == ({}, [g.labels])
+        # the counter sees the products the generic oracle makes
+        assert _generic(gens, g.labels) == g
+        assert products[2 * g.rank] > g.rank * 2 ** g.rank
+        assert closures == [g.labels, g.labels]

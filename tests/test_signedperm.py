@@ -185,7 +185,10 @@ def test_point_images_of_a_generator(d4):
 
 
 class TestPerm:
-    @pytest.mark.parametrize("images", [(0, 0, 1), (0, 2), (1,)])
+    # sorted() alone passes (1.0, 0), and its first product then fails on a
+    # float tuple index
+    @pytest.mark.parametrize("images", [(0, 0, 1), (0, 2), (1,), (1.0, 0), (0, 1.0),
+                                        (0.0, 2, 1), ("1", 0), (None,)])
     def test_constructor_validates(self, images):
         with pytest.raises(ValueError, match="not a permutation"):
             Perm(images)
