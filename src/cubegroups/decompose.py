@@ -49,17 +49,23 @@ class OrbitPartition:
 
 def orbits(g: DecoratedGraph) -> OrbitPartition:
     """Orbits of the label set under all involutions, ordered by least label."""
+    return OrbitPartition(_orbit_blocks(g.involutions, g.labels))
+
+
+def _orbit_blocks(involutions, labels) -> tuple[frozenset[str], ...]:
+    """Orbits of invariant `labels` under their own involutions, by least label."""
+    js = [involutions[s] for s in labels]
     blocks = []
-    for seed in g.labels:
+    for seed in labels:
         if any(seed in b for b in blocks):
             continue
         block, frontier = {seed}, [seed]
         for x in frontier:  # the list grows while it is walked
-            new = {j[x] for j in g.involutions.values()} - block
+            new = {j[x] for j in js} - block
             block |= new
             frontier += new
         blocks.append(frozenset(block))
-    return OrbitPartition(tuple(blocks))
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -85,16 +91,21 @@ def orbit_tree(g: DecoratedGraph) -> OrbitTree:
     return _orbit_tree(g)
 
 
-def _orbit_tree(g: DecoratedGraph) -> OrbitTree:
-    if g.rank == 1:
-        return OrbitTree(frozenset(g.labels), ())
-    part = orbits(g)
-    if part.block_count == 1:
+def _orbit_tree(g: DecoratedGraph, blocks=None, labels=None) -> OrbitTree:
+    """The orbit tree of `labels` (default: all of g's), whose orbits are `blocks`
+    if the caller has them: each child is an orbit's tree under its own labels'
+    involutions, read off g's dicts instead of a `restricted` graph."""
+    labels = g.labels if labels is None else labels
+    if len(labels) == 1:
+        return OrbitTree(frozenset(labels), ())
+    if blocks is None:
+        blocks = _orbit_blocks(g.involutions, labels)
+    if len(blocks) == 1:
         raise InternalConsistencyError(
-            f"rank-{g.rank} graph has a single orbit; admissible ones have at least two"
+            f"rank-{len(labels)} graph has a single orbit; admissible ones have at least two"
         )
-    children = tuple(_orbit_tree(g.restricted(block)) for block in part.blocks)
-    return OrbitTree(frozenset(g.labels), children)
+    children = tuple(_orbit_tree(g, labels=tuple(s for s in labels if s in b)) for b in blocks)
+    return OrbitTree(frozenset(labels), children)
 
 
 def decomposition_ordering(tree: OrbitTree) -> tuple[str, ...]:

@@ -213,42 +213,36 @@ class AdmissibilityReport:
     failures: tuple[AdmissibilityFailure, ...]
 
 
-def _failing_seeds(labels, inv):
+def _failing_seeds(labels, inv, seeds=None, undecided=None):
     """Yield ``(seed, witness)`` for each failing seed that the involution
-    table `inv` decides, in label order.
+    table `inv` decides, in the order of `seeds` (default: every ordered pair
+    of distinct labels, in label order); the seeds are not checked.
 
     `inv` maps every label to its involution, or to None while that
     involution is not assigned yet (the sweep's label-by-label search fills
     in ``dict.fromkeys(labels)``); a full table decides every seed.  Seed
-    (u, v) is decided once j_v, j_{s3}, j_{s4} and j_{s5} are assigned, and
-    skipped until then.  Its period and holonomy need no other label: a
-    periodic seed has s5 = u.  A label missing from `inv` raises KeyError.
-    The witness is None when the trajectory is not 4-periodic, and the
-    nontrivial holonomy otherwise.  The seeds come from `labels`, so their
-    labels need no check.
+    (u, v) is decided once j_v, j_{s3}, j_{s4} and j_{s5} are assigned: its
+    period and holonomy need no other label, as a periodic seed has s5 = u.
+    Until then it is skipped, and appended to `undecided` if that is a list;
+    assigning more labels never changes a decided verdict, so the search
+    hands each branch only the seeds its parent left undecided.  A label
+    missing from `inv` raises KeyError.  The witness is None when the
+    trajectory is not 4-periodic, and the nontrivial holonomy otherwise.
     """
-    for u, v in itertools.permutations(labels, 2):
+    for seed in itertools.permutations(labels, 2) if seeds is None else seeds:
+        u, v = seed
         j2 = inv[v]
-        if j2 is None:
-            continue
-        s3 = j2[u]
-        j3 = inv[s3]
-        if j3 is None:
-            continue
-        s4 = j3[v]
-        j4 = inv[s4]
-        if j4 is None:
-            continue
-        s5 = j4[s3]
-        j1 = inv[s5]
-        if j1 is None:
+        if (j2 is None or (j3 := inv[s3 := j2[u]]) is None
+                or (j4 := inv[s4 := j3[v]]) is None or (j1 := inv[s5 := j4[s3]]) is None):
+            if undecided is not None:
+                undecided.append(seed)
             continue
         if s5 != u or j1[s4] != v:
-            yield (u, v), None
+            yield seed, None
             continue
         images = tuple([j4[j3[j2[j1[t]]]] for t in labels])
         if images != labels:
-            yield (u, v), dict(zip(labels, images))
+            yield seed, dict(zip(labels, images))
 
 
 def is_admissible(g: DecoratedGraph) -> AdmissibilityReport:

@@ -128,11 +128,13 @@ def is_hypercube(lg: LabeledGraph) -> HypercubeResult:
 
 
 def generator_rho(g: DecoratedGraph, s: str) -> SignedPermutation:
-    """Geometric image of a generator: permutation part j_s, sign -1 only at s."""
+    """Geometric image of a generator: permutation part j_s, sign -1 only at s.
+    Not re-validated: the graph's j_s is an involution of its labels."""
     if s not in g.involutions:
         raise UnknownLabelError(s)
-    signs = {t: (-1 if t == s else 1) for t in g.labels}
-    return SignedPermutation.from_maps(g.labels, g.involutions[s], signs)
+    labels, j, pos = g.labels, g.involutions[s], {t: k for k, t in enumerate(g.labels)}
+    perm = tuple([pos[j[t]] for t in labels])
+    return SignedPermutation._trusted(labels, perm, tuple([-1 if t == s else 1 for t in labels]))
 
 
 def word_matrix(g: DecoratedGraph, word) -> SignedPermutation:

@@ -23,6 +23,8 @@ class SignedPermutation:
 
     def __post_init__(self):
         n = len(self.labels)
+        if not all(isinstance(x, int) for x in (*self.perm, *self.signs)):
+            raise ValueError("perm and signs must hold ints")  # sorted() and `in` pass 1.0
         if sorted(self.perm) != list(range(n)):
             raise ValueError("perm is not a permutation of the label indices")
         if len(self.signs) != n or any(s not in (-1, 1) for s in self.signs):

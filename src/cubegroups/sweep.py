@@ -5,11 +5,12 @@ Each label needs an involution of the remaining labels, so the population at
 rank n is I(n-1)^n where I(m) counts involutions on m points.  The sweep
 never builds an inadmissible graph: it assigns the involutions label by
 label and cuts a branch at the first failing seed the assigned labels
-decide, since every completion shares that seed.  Each admissible graph keeps
-its index in the brute-force enumeration `enumerate_decorated_graphs`, which
-stays as the search's test oracle.  The sweep runs group generation, orbit,
-normal-form, and sign-formula checks on every admissible graph and
-aggregates failures (expected: none).
+decide, since every completion shares that seed; its children re-check only
+the seeds it left undecided.  Each admissible graph keeps its index in the
+brute-force enumeration `enumerate_decorated_graphs`, the search's test
+oracle.  The sweep runs group generation, orbit, normal-form, and
+sign-formula checks on every admissible graph and aggregates failures
+(expected: none).
 Graphs are built without re-validation: the label set is validated once,
 and each involution fixes its own label by construction.  Group
 generation certifies the cube group as it closes it: each product must be
@@ -99,26 +100,28 @@ def _admissible_graphs(rank: int):
     Depth-first over the labels in order, each trying its involutions in
     enumeration order, so the index is the mixed-radix number of the choices
     with the last label varying fastest.  After each assignment the
-    admissibility core runs on the partial table; a failing seed it decides
-    fails for every completion, so the branch is cut there.  Only admissible
-    graphs are built, each owning its involution dicts.
+    admissibility core runs on the partial table over the seeds the parent
+    left undecided.  A seed it decides has that verdict in every completion:
+    a failing one cuts the branch, a passing one is not handed down.  Only
+    admissible graphs are built, each owning its involution dicts.
     """
     labels, choices = _label_choices(rank)
     radix = len(choices[0])
     inv = dict.fromkeys(labels)
 
-    def extend(depth, index):
+    def extend(depth, index, seeds):
         if depth == rank:
             yield index, _trusted_graph(labels, {s: dict(inv[s]) for s in labels})
             return
         s = labels[depth]
         for choice, j in enumerate(choices[depth]):
             inv[s] = j
-            if next(_failing_seeds(labels, inv), None) is None:
-                yield from extend(depth + 1, index * radix + choice)
+            undecided = []
+            if next(_failing_seeds(labels, inv, seeds, undecided), None) is None:
+                yield from extend(depth + 1, index * radix + choice, undecided)
         inv[s] = None
 
-    return extend(0, 0)
+    return extend(0, 0, list(itertools.permutations(labels, 2)))
 
 
 @dataclass
@@ -150,8 +153,9 @@ def verify_graph(g: DecoratedGraph) -> list[tuple[str, str]]:
     """Run the full battery on one admissible graph; returns (check, detail)
     failures, empty on success.
 
-    Admissibility is decided once, in `generate_group`.  A graph of rank >= 2
-    whose label action has a single orbit is reported as
+    The sweep's search decides admissibility and `generate_group` checks it
+    again; the top orbits are computed once, for the orbit tree too.  A graph
+    of rank >= 2 whose label action has a single orbit is reported as
     ``("reducible", "single orbit")``: it has no orbit tree, so its normal
     forms are not checked.  The sign-formula check compares the closed
     formula with the matrix fold on every word of every length, by induction
@@ -164,11 +168,12 @@ def verify_graph(g: DecoratedGraph) -> list[tuple[str, str]]:
         G = generate_group(g)
     except CubeGroupError as exc:
         return [("generate", str(exc))]
-    if n >= 2 and orbits(g).block_count < 2:
+    part = orbits(g)
+    if n >= 2 and part.block_count < 2:
         failures.append(("reducible", "single orbit"))
         orderings = []  # no orbit tree, so no ordering to check
     else:
-        tree = _orbit_tree(g)
+        tree = _orbit_tree(g, part.blocks)
         orderings = (
             planar_orderings(tree)
             if n <= PLANAR_REORDER_RANK_CAP

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -21,10 +22,10 @@ from cubegroups.errors import (
     RankTooSmallError,
     UnknownLabelError,
 )
-from cubegroups.graphs import admissible_quick
+from cubegroups.graphs import DecoratedGraph, admissible_quick
 from cubegroups.group import GroupElement, generate_group, generator_rho
 from cubegroups.signedperm import SignedPermutation
-from cubegroups.sweep import enumerate_decorated_graphs
+from cubegroups.sweep import _admissible_graphs, enumerate_decorated_graphs
 
 from conftest import graph_from
 
@@ -96,6 +97,42 @@ class TestOrbitTree:
         assert orbits(bad_rank3).block_count == 1
         with pytest.raises(InternalConsistencyError):
             _orbit_tree(bad_rank3)
+
+
+def restricted_orbit_tree(g):
+    """Oracle for `_orbit_tree`: the recursion through a `restricted` graph
+    at every node, with orbits grown to a fixed point over every involution."""
+    blocks = []
+    for s in g.labels:
+        if not any(s in b for b in blocks):
+            block = {s}
+            while (grown := block | {j[t] for j in g.involutions.values() for t in block}) != block:
+                block = grown
+            blocks.append(frozenset(block))
+    if g.rank == 1:
+        return OrbitTree(frozenset(g.labels), ())
+    assert len(blocks) > 1
+    return OrbitTree(frozenset(g.labels),
+                     tuple(restricted_orbit_tree(g.restricted(b)) for b in blocks))
+
+
+class TestOrbitTreeOracle:
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5])
+    def test_every_admissible_graph(self, rank):
+        for _, g in _admissible_graphs(rank):
+            tree = restricted_orbit_tree(g)
+            assert _orbit_tree(g) == tree
+            assert _orbit_tree(g, orbits(g).blocks) == tree
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rank12_union_in_shuffled_label_orders(self, rank12_union, seed):
+        labels = list(rank12_union.labels)
+        if seed:
+            random.Random(seed).shuffle(labels)
+        g = DecoratedGraph(tuple(labels), rank12_union.involutions)
+        tree = restricted_orbit_tree(g)
+        assert len(tree.children) == 9  # {a,c}, {b,d}, {g,h} and six single labels
+        assert _orbit_tree(g) == tree == orbit_tree(g)
 
 
 def hand_tree(spec):

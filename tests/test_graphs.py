@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -26,6 +27,8 @@ from cubegroups.graphs import (
 from cubegroups.sweep import enumerate_decorated_graphs
 
 from conftest import graph_from
+
+sweep_module = importlib.import_module("cubegroups.sweep")
 
 
 class TestTrajectory:
@@ -136,6 +139,35 @@ class TestPartialTable:
                     inv.update((s, g.involutions[s]) for s in assigned)
                     expected = [(seed, w) for seed, w in full if needs[seed] <= set(assigned)]
                     assert list(graphs._failing_seeds(g.labels, inv)) == expected
+
+    def test_seed_subsets_on_the_search_tables(self, monkeypatch):
+        """On every partial table of the rank-4 search, the core given a seed
+        list yields that list's failing seeds from the all-seed output, and
+        receives exactly the listed seeds it does not decide."""
+        tables = []
+
+        def record(labels, inv, seeds, undecided):
+            tables.append((dict(inv), list(seeds)))
+            return graphs._failing_seeds(labels, inv, seeds, undecided)
+
+        monkeypatch.setattr(sweep_module, "_failing_seeds", record)
+        assert len(list(sweep_module._admissible_graphs(4))) == 22
+        labels = tuple("abcd")
+        every = list(itertools.permutations(labels, 2))
+        for inv, handed in tables:
+            assigned = {s for s, j in inv.items() if j is not None}
+            # any completion runs each seed through the same first unassigned label
+            g = DecoratedGraph._trusted(labels, {
+                s: {t: t for t in labels} if j is None else j for s, j in inv.items()})
+            decided = {seed for seed in every
+                       if set(trajectory(g, *seed).terms[1:5]) <= assigned}
+            full = list(graphs._failing_seeds(labels, inv))
+            for subset in (handed, every, every[::2], every[1::2], []):
+                undecided = []
+                found = list(graphs._failing_seeds(labels, inv, subset, undecided))
+                assert found == [(seed, w) for seed, w in full if seed in subset]
+                assert undecided == [seed for seed in subset if seed not in decided]
+        assert len(tables) > 22
 
     def test_missing_label_raises(self, bad_rank3):
         inv = dict(bad_rank3.involutions)

@@ -143,6 +143,14 @@ class TestGeneratorRho:
         with pytest.raises(UnknownLabelError):
             generator_rho(d4, "z")
 
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_equals_the_validated_construction(self, rank):
+        for _, g in _admissible_graphs(rank):
+            for s in g.labels:
+                signs = {t: -1 if t == s else 1 for t in g.labels}
+                assert generator_rho(g, s) == SignedPermutation.from_maps(
+                    g.labels, g.involutions[s], signs)
+
 
 class TestIsHypercube:
     def test_cube_skeletons(self):

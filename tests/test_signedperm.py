@@ -77,6 +77,18 @@ def test_public_constructor_validates(perm, signs):
         SignedPermutation(LABELS, perm, signs)
 
 
+@pytest.mark.parametrize("perm, signs", [
+    ((1.0, 0), (1, 1)),
+    ((0, 1.0), (1, 1)),
+    ((1, 0), (1.0, 1)),
+    ((1, 0), (-1.0, 1)),
+])
+def test_public_constructor_rejects_floats(perm, signs):
+    # sorted() and `in` compare 1.0 equal to 1; the entries index tuples
+    with pytest.raises(ValueError):
+        SignedPermutation(("a", "b"), perm, signs)
+
+
 @pytest.mark.parametrize("perm_map, sign_map", [
     ({"a": "b", "b": "b", "c": "c"}, {"a": 1, "b": 1, "c": 1}),  # not injective
     ({"a": "a", "b": "b", "c": "c"}, {"a": 1, "b": 2, "c": 1}),  # sign not +-1

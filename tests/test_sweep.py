@@ -189,3 +189,19 @@ def test_sweep_builds_only_admissible_graphs(monkeypatch):
     assert (report.total_graphs, report.admissible_count) == (100_000, 236)
     assert calls["graphs"] == 236
     assert calls["core"] < 15_000
+
+
+def test_search_hands_down_only_undecided_seeds(monkeypatch):
+    """Each of the 10,710 nodes of the rank-5 search runs the core once, on
+    the seeds its parent left undecided: fewer in all than the 20 seeds a
+    node of a search that re-checks every seed would hand it."""
+    handed = []
+
+    def counted(labels, inv, seeds, undecided):
+        handed.append(len(seeds))
+        return graphs._failing_seeds(labels, inv, seeds, undecided)
+
+    monkeypatch.setattr(sweep_module, "_failing_seeds", counted)
+    assert len(list(sweep_module._admissible_graphs(5))) == 236
+    assert len(handed) == 10_710
+    assert sum(handed) < 10_710 * 20
