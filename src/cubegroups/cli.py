@@ -89,7 +89,7 @@ def cmd_cayley(args) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot)
-        print(f"wrote {len(G.cayley.edges)} edges on {G.order} vertices to {args.dot}")
+        print(f"wrote {G.rank * G.order // 2} edges on {G.order} vertices to {args.dot}")
     else:
         print(dot, end="")
     return EXIT_OK

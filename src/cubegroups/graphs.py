@@ -33,13 +33,14 @@ _RESERVED_LABEL_CHARS = '#():"\\'
 def validate_label(s: str) -> None:
     """Raise ValueError unless `s` can be a generator label.
 
-    A label is nonempty and holds no whitespace and none of ``#():"\\``, so
-    every accepted label round-trips through the text formats and is safe
-    inside a quoted DOT string.
+    A label is a nonempty `str` and holds no whitespace and none of
+    ``#():"\\``, so every accepted label round-trips through the text formats
+    and is safe inside a quoted DOT string.
     """
-    if not s or any(ch.isspace() or ch in _RESERVED_LABEL_CHARS for ch in s):
+    if (not isinstance(s, str) or not s
+            or any(ch.isspace() or ch in _RESERVED_LABEL_CHARS for ch in s)):
         raise ValueError(
-            f"bad label {s!r}: must be nonempty, without whitespace or any of "
+            f"bad label {s!r}: must be a nonempty str, without whitespace or any of "
             f"{_RESERVED_LABEL_CHARS}"
         )
 
@@ -55,15 +56,17 @@ class DecoratedGraph:
 
     ``involutions[s]`` is a total self-map of the label set, stored as a dict.
     The label order is significant: it fixes basis order, serialization order,
-    and the deterministic order of every sweep.  The constructor validates
-    and keeps its own copy of each involution dict, so mutating the dicts
-    passed to it leaves the graph unchanged.
+    and the deterministic order of every sweep.  The constructor takes the
+    labels as any sequence of `str` and stores a tuple; it validates and
+    keeps its own copy of each involution dict, so mutating the dicts passed
+    to it leaves the graph unchanged.
     """
 
     labels: tuple[str, ...]
     involutions: dict[str, Permutation]
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))  # any sequence
         seen = set()
         for s in self.labels:
             validate_label(s)

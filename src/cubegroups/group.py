@@ -6,7 +6,10 @@ Cayley graph must be the 1-skeleton of the n-cube.  The group acts simply
 transitively on the cube's vertices, so `_vertex_closure`, the one closure
 both build paths run, numbers each element by its cube vertex (the bitmask in
 {0,1}^n of the coordinates it negates), which certifies the cube as it runs.
-Right multiplication is then a formula, `CubeGroup.step`, not a table.
+Right multiplication is then a formula, `CubeGroup.step`, not a table, and
+so is any product, `CubeGroup.multiply`: T(xy) = T(x) △ p_x(T(y)) for the
+vertices T and permutation part p_x of x.  The Cayley edge list is derived by
+the same rule on each access, not stored.
 The reverse construction first reads the graph off the products of two
 generators: rho_s * rho_t sits at the vertex {s, j_s(t)}, where exactly one
 other such product sits.
@@ -43,21 +46,15 @@ class LabeledGraph:
     edges: tuple[tuple[int, int, str], ...]  # (u, v, label) with u < v
 
     def __post_init__(self):
-        # per-vertex lists, not sets of (vertex, label) tuples: validating a
-        # rank-12 Cayley graph then allocates about 2 MB instead of 8 MB
-        uppers = {}  # lower endpoint -> upper endpoints
-        labels = {}  # endpoint -> labels of its edges
-        for u, v, l in self.edges:
-            uppers.setdefault(u, []).append(v)
-            labels.setdefault(u, []).append(l)
-            labels.setdefault(v, []).append(l)
-        if any(len(set(vs)) != len(vs) for vs in uppers.values()):
+        pairs = [(u, v) for u, v, _ in self.edges]
+        ends = [(x, l) for u, v, l in self.edges for x in (u, v)]  # (endpoint, label)
+        if len(set(pairs)) != len(pairs):
             raise ValueError("parallel edges are not allowed")
-        if any(u >= v for u, vs in uppers.items() for v in vs):
+        if any(u >= v for u, v in pairs):
             raise ValueError("edges must be stored as (u, v) with u < v")
-        if not set(self.vertices).issuperset(labels):
+        if not set(self.vertices).issuperset(x for x, _ in ends):
             raise ValueError("edge endpoint is not a vertex")
-        if any(len(set(ls)) != len(ls) for ls in labels.values()):
+        if len(set(ends)) != len(ends):
             raise ValueError("repeated edge label at a vertex")
 
     def adjacency(self) -> dict[int, set[int]]:
@@ -139,12 +136,9 @@ def generator_rho(g: DecoratedGraph, s: str) -> SignedPermutation:
 
 def word_matrix(g: DecoratedGraph, word) -> SignedPermutation:
     """Fold generator matrices along a word in applied-first order."""
-    rho = {}
     m = SignedPermutation.identity(g.labels)
     for s in word:
-        if s not in rho:
-            rho[s] = generator_rho(g, s)
-        m = rho[s].compose(m)
+        m = generator_rho(g, s).compose(m)
     return m
 
 
@@ -156,7 +150,7 @@ class GroupElement:
 
 @dataclass
 class CubeGroup:
-    """A generated cube group, numbered by cube vertex, with its Cayley graph.
+    """A generated cube group, numbered by cube vertex; its Cayley graph is derived.
 
     The group acts simply transitively on the cube's vertices, so
     ``elements[i]`` is the one whose matrix negates coordinate ``labels[k]``
@@ -183,9 +177,9 @@ class CubeGroup:
             raise IndexError(f"negative index in step({i}, {k})")
         return i ^ 1 << self.elements[i].matrix.perm[k]
 
-    @cached_property
+    @property
     def cayley(self) -> LabeledGraph:
-        """The sorted edge list, built on first use.  Label k flips bit p(k) (`step`), so
+        """The sorted edge list, built on each access.  Label k flips bit p(k) (`step`), so
         one sort of the labels by bit per distinct p lists each vertex's upper edges.
         Not re-validated: vertex i lists (i, i | b) once per bit b not in i, so no
         edge is parallel, u < v and every endpoint is below 2^n.  The closure
@@ -236,10 +230,12 @@ class CubeGroup:
         return tuple(word)
 
     def multiply(self, i: int, k: int) -> int:
-        if i < 0 or k < 0:
-            raise IndexError(f"element index {min(i, k)} is negative")
-        product = self.elements[i].matrix.compose(self.elements[k].matrix)
-        return self.element_for_matrix(product).index
+        """The index of ``elements[i].matrix.compose(elements[k].matrix)``: the
+        vertex rule T(xy) = T(x) △ p_x(T(y)) flips bit p_i(t) for each set bit t of k."""
+        if not (0 <= i < self.order and 0 <= k < self.order):
+            raise IndexError(f"element index out of range in multiply({i}, {k})")
+        perm = self.elements[i].matrix.perm
+        return i ^ sum([1 << p for t, p in enumerate(perm) if k >> t & 1])
 
 
 def generate_group(g: DecoratedGraph) -> CubeGroup:

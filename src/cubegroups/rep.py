@@ -8,7 +8,8 @@ image.  `sign_formula_mismatches` checks this formula against the matrix fold
 on every word at once, by induction over the products the closure checked
 as it built the group (one step per element and letter).  Orbit blocks
 of the label action span invariant coordinate subspaces, so the
-representation is reducible whenever there are at least two blocks.
+representation is reducible whenever there are at least two blocks:
+`is_reducible` is another name for `decompose.two_orbit_check`.
 """
 
 from __future__ import annotations
@@ -122,8 +123,4 @@ def invariant_coordinate_subspaces(g: DecoratedGraph) -> list[frozenset[str]]:
     return list(orbits(g).blocks)
 
 
-def is_reducible(g: DecoratedGraph) -> bool:
-    """Whether the representation splits over coordinate blocks (expected true
-    for every admissible graph of rank >= 2): the blocks are the orbits, so
-    this is `two_orbit_check`."""
-    return two_orbit_check(g)
+is_reducible = two_orbit_check  # the coordinate blocks are the orbits

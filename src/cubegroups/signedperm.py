@@ -1,8 +1,10 @@
 """Signed permutations over an ordered label set, plus plain integer permutations.
 
 A signed permutation is the matrix of an orthogonal map sending each basis
-vector e_t to sign(t) * e_{perm(t)}.  All arithmetic is exact integer work;
-instances are frozen and hashable, so a group's elements index a dict.  The
+vector e_t to sign(t) * e_{perm(t)}.  All arithmetic is exact integer work.
+The constructors accept any sequence for each field and store a tuple, so
+instances are frozen and hashable (by the dataclass) and compare equal to
+their twins built from lists.  The
 same map permutes the 2n points +-e_t (`point_images`), the form in which
 `generate_group` multiplies; the images of the points +e_t also give an
 element's cube vertex, the coordinates it negates.
@@ -15,13 +17,15 @@ from dataclasses import dataclass
 from .errors import LabelSetMismatchError, UnknownLabelError
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class SignedPermutation:
     labels: tuple[str, ...]
     perm: tuple[int, ...]   # perm[i] = index of the image of basis label i
     signs: tuple[int, ...]  # sign picked up by basis vector i, each +1 or -1
 
     def __post_init__(self):
+        for name in ("labels", "perm", "signs"):  # any sequence, stored as a tuple
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         n = len(self.labels)
         if not all(isinstance(x, int) for x in (*self.perm, *self.signs)):
             raise ValueError("perm and signs must hold ints")  # sorted() and `in` pass 1.0
@@ -29,15 +33,6 @@ class SignedPermutation:
             raise ValueError("perm is not a permutation of the label indices")
         if len(self.signs) != n or any(s not in (-1, 1) for s in self.signs):
             raise ValueError("signs must be +1/-1, one per label")
-
-    def __eq__(self, other):
-        if not isinstance(other, SignedPermutation):
-            return NotImplemented
-        return (self.perm == other.perm and self.signs == other.signs
-                and self.labels == other.labels)
-
-    def __hash__(self):  # leaves out the labels, which one group's elements share
-        return hash((self.perm, self.signs))
 
     @classmethod
     def identity(cls, labels) -> "SignedPermutation":
@@ -153,6 +148,7 @@ class Perm:
     images: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "images", tuple(self.images))
         # sorted() alone would pass 1.0 as 1, and products index by image
         if (not all(isinstance(x, int) for x in self.images)
                 or sorted(self.images) != list(range(len(self.images)))):
@@ -177,9 +173,7 @@ class Perm:
     def __mul__(self, other: "Perm") -> "Perm":
         if len(self.images) != len(other.images):
             raise ValueError(f"degree mismatch: {len(self.images)} vs {len(other.images)}")
-        product = object.__new__(Perm)  # a product of permutations needs no validation
-        object.__setattr__(product, "images", tuple(map(self.images.__getitem__, other.images)))
-        return product
+        return Perm(tuple(map(self.images.__getitem__, other.images)))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen = set()

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cubegroups import cli, decompose
+from cubegroups import cli, decompose, group
 from cubegroups.cli import main
 from cubegroups.errors import InternalConsistencyError, NotADecompositionError
 
@@ -146,6 +146,15 @@ class TestCayley:
         dot = out_path.read_text()
         assert dot.startswith("graph cayley {")
         assert dot.count(" -- ") == 12  # 3 * 2^2 edges
+        assert capsys.readouterr().out == f"wrote 12 edges on 8 vertices to {out_path}\n"
+
+    def test_dot_file_builds_the_edge_list_once(self, d4_file, tmp_path, monkeypatch):
+        builds = []
+        cayley = group.CubeGroup.cayley
+        monkeypatch.setattr(group.CubeGroup, "cayley",
+                            property(lambda G: builds.append(1) or cayley.__get__(G)))
+        assert main(["cayley", d4_file, "--dot", str(tmp_path / "cayley.dot")]) == 0
+        assert len(builds) == 1
 
     def test_stdout(self, d4_file, capsys):
         assert main(["cayley", d4_file]) == 0

@@ -335,6 +335,21 @@ def test_bad_labels_rejected(label):
         graph_from((label, "z"))
 
 
+def test_list_labels_are_stored_as_a_tuple():
+    # admissibility compares each holonomy's image tuple with the labels
+    g = DecoratedGraph(["a", "b"], _identities("ab"))
+    assert g.labels == ("a", "b")
+    assert g == DecoratedGraph(("a", "b"), _identities("ab"))
+    assert is_admissible(g).admissible
+
+
+@pytest.mark.parametrize("labels", [(1, 2), ("a", 2), (b"a", "b"), (("a",), "b"), (0, "a")])
+def test_labels_that_are_not_str_raise_value_error(labels):
+    involutions = {s: {t: t for t in labels} for s in labels}
+    with pytest.raises(ValueError, match="bad label"):
+        DecoratedGraph(labels, involutions)
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_restriction_equals_the_validated_graph(rank):
     """`restricted` skips re-validation; its result must equal the validated

@@ -124,6 +124,22 @@ class TestLabeledGraph:
         with pytest.raises(ValueError, match="not a vertex"):
             LabeledGraph(vertices, (edge,))
 
+    # two faults at once: the checks run parallel edges, u < v, endpoints, labels
+    @pytest.mark.parametrize("vertices, edges, message", [
+        ((0, 1, 2), ((0, 1, "a"), (0, 1, "b"), (2, 1, "c")), "parallel edges"),  # + reversed
+        ((0, 1, 2), ((0, 1, "a"), (0, 1, "b"), (2, 2, "c")), "parallel edges"),  # + self-loop
+        ((0, 1), ((0, 1, "a"), (0, 1, "b"), (1, 5, "c")), "parallel edges"),  # + endpoint
+        ((0, 1), ((0, 1, "a"), (0, 1, "a")), "parallel edges"),  # + repeated label
+        ((0, 1), ((1, 0, "a"), (0, 5, "b")), "u < v"),  # reversed + endpoint
+        ((0, 1), ((3, 3, "a"),), "u < v"),  # self-loop + endpoint
+        ((0, 1, 2), ((1, 0, "a"), (0, 2, "a")), "u < v"),  # reversed + repeated label
+        ((0, 1), ((0, 0, "a"), (0, 1, "a")), "u < v"),  # self-loop + repeated label
+        ((0, 1), ((0, 1, "a"), (0, 5, "a")), "not a vertex"),  # endpoint + repeated label
+    ])
+    def test_first_failing_check_names_the_fault(self, vertices, edges, message):
+        with pytest.raises(ValueError, match=message):
+            LabeledGraph(vertices, edges)
+
     def test_label_may_repeat_at_distinct_vertices(self):
         assert len(LabeledGraph((0, 1, 2, 3), ((0, 1, "a"), (2, 3, "a"))).edges) == 2
 
@@ -542,6 +558,11 @@ class TestDecoratedGraphFromGroup:
         gens = [Perm.from_cycles(2, [(0, 1)])]
         assert decorated_graph_from_group(gens, ("a",)) == rank1
 
+    def test_list_images(self, klein):
+        # the image-tuple closure hashes the generators' images
+        gens = [Perm([1, 0, 2, 3]), Perm([0, 1, 3, 2])]
+        assert decorated_graph_from_group(gens, "ab") == klein
+
     def test_klein_four(self, klein):
         gens = [
             Perm.from_cycles(4, [(0, 1), (2, 3)]),
@@ -825,6 +846,28 @@ class TestVertexNumbering:
     def test_label_index_outside_the_rank(self, d4, k):
         with pytest.raises(IndexError):
             generate_group(d4).step(0, k)
+
+    def test_multiply_equals_the_matrix_product(self, rank5):
+        groups = [G for rank in range(1, 5) for _, G in admissible_groups(rank)]
+        assert sum(G.order ** 2 for G in groups) == 5908
+        for G in groups + [generate_group(rank5_plus_d4(rank5))]:
+            for x in G.elements:
+                for y in G.elements:
+                    product = G.element_for_matrix(x.matrix.compose(y.matrix))
+                    assert G.multiply(x.index, y.index) == product.index
+
+    def test_multiply_rejects_indices_outside_the_group(self, rank5):
+        G = generate_group(rank5)
+        for i, k in [(-1, 0), (0, -1), (32, 0), (0, 32), (-32, 1), (1, 64)]:
+            with pytest.raises(IndexError):
+                G.multiply(i, k)
+
+    def test_cayley_is_built_on_each_access(self, d4):
+        G = generate_group(d4)
+        first = G.cayley
+        assert G.cayley == first and G.cayley is not first
+        assert "cayley" not in vars(G)
+        assert len(first.edges) == 3 * 8 // 2
 
     def test_multiply_folds_the_word_of_its_right_factor(self, d4, rank5):
         for g in (d4, rank5):

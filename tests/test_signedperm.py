@@ -121,6 +121,20 @@ def test_equal_values_hash_equal(x, y):
         assert hash(x) == hash(y)
 
 
+@given(signed_perms(("a", "b")), signed_perms(("a", "b")), st.sampled_from(
+    [None, 0, "ab", (), ("a", "b"), Perm((0, 1)), [[1, 0], [0, 1]]]))
+def test_list_twins_are_equal_and_hash_equal(x, y, other):
+    # the generated __eq__ and __hash__ read the fields, so they must be tuples
+    twin = SignedPermutation(list(x.labels), list(x.perm), list(x.signs))
+    assert twin == x and hash(twin) == hash(x)
+    assert (twin.labels, twin.perm, twin.signs) == (x.labels, x.perm, x.signs)
+    assert (x == y) == ((x.perm, x.signs) == (y.perm, y.signs))
+    if x == y:
+        assert hash(x) == hash(y)
+    assert x != other and other != x
+    assert x != (x.labels, x.perm, x.signs)
+
+
 @given(signed_perms())
 def test_labels_take_part_in_equality(x):
     other = copied(x, ("x", "y", "z"))
@@ -210,6 +224,12 @@ class TestPerm:
         product = Perm(tuple(a)) * Perm(tuple(b))
         assert product == Perm(tuple(a[x] for x in b))
         assert hash(product) == hash(Perm(product.images))
+
+    @given(st.permutations(range(4)))
+    def test_list_images_are_stored_as_a_tuple(self, images):
+        p = Perm(list(images))
+        assert p.images == tuple(images) and p == Perm(tuple(images))
+        assert hash(p) == hash(Perm(tuple(images)))
 
     def test_from_cycles_and_mul(self):
         a = Perm.from_cycles(4, [(0, 2)])
