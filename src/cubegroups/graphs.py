@@ -20,6 +20,8 @@ from .errors import (
     InternalConsistencyError,
     NotAdmissibleError,
     NotFourPeriodicError,
+    RankCapExceededError,
+    RankTooSmallError,
     UnknownLabelError,
 )
 
@@ -45,6 +47,28 @@ def validate_label(s: str) -> None:
         )
 
 
+def validate_labels(labels) -> None:
+    """Raise `validate_label`'s ValueError or DuplicateLabelError for the
+    first label, in order, that is bad or repeats an earlier one."""
+    seen = set()
+    for s in labels:
+        validate_label(s)
+        if s in seen:
+            raise DuplicateLabelError(s)
+        seen.add(s)
+
+
+def check_rank(rank, cap: int) -> None:
+    """Bound a rank before any work: TypeError unless it is an int (a bool is
+    not), RankTooSmallError below 1 and RankCapExceededError above `cap`."""
+    if isinstance(rank, bool) or not isinstance(rank, int):
+        raise TypeError(f"rank must be an int, not {type(rank).__name__}")
+    if rank < 1:
+        raise RankTooSmallError(rank, 1)
+    if rank > cap:
+        raise RankCapExceededError(rank, cap)
+
+
 def _check_label(labels, s):
     if s not in labels:
         raise UnknownLabelError(s)
@@ -67,19 +91,15 @@ class DecoratedGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))  # any sequence
-        seen = set()
-        for s in self.labels:
-            validate_label(s)
-            if s in seen:
-                raise DuplicateLabelError(s)
-            seen.add(s)
+        validate_labels(self.labels)
+        label_set = set(self.labels)
         object.__setattr__(
             self, "involutions", {s: dict(j) for s, j in self.involutions.items()}
         )
-        if set(self.involutions) != seen:
+        if set(self.involutions) != label_set:
             raise ValueError("involutions must be keyed by exactly the label set")
         for s, j in self.involutions.items():
-            if set(j) != seen or set(j.values()) != seen:
+            if set(j) != label_set or set(j.values()) != label_set:
                 raise ValueError(f"involution for {s!r} is not a self-map of the label set")
             for u, v in j.items():
                 if j[v] != u:
@@ -296,62 +316,54 @@ class EdgeGroup:
 
 
 def _canonical_cycle(cycle):
-    variants = []
-    for seq in (cycle, cycle[::-1]):
-        for r in range(4):
-            variants.append(seq[r:] + seq[:r])
-    return min(variants)
+    return min(seq[r:] + seq[:r] for seq in (cycle, cycle[::-1]) for r in range(4))
 
 
-def edge_partition(g: DecoratedGraph) -> tuple[EdgeGroup, ...]:
-    """Partition the unordered label pairs into 4-cycles, angles, and single edges.
+def _trajectory_classes(g: DecoratedGraph) -> list[tuple[str, str, str, str]]:
+    """The canonical period of each trajectory class, in the order first seen
+    over the unordered label pairs in label order.
 
-    Requires 4-periodicity of every trajectory (checked seed by seed); raises
-    InternalConsistencyError if two blocks share an edge, which periodic input
-    cannot produce.
+    A seed's reversal runs its orbit backwards, as (a, b) -> (b, j_b(a)) is
+    inverted by reversing the pair, so the unordered pairs meet every class.
+    Raises NotAdmissibleError, reporting the seed, at the first pair that is
+    not 4-periodic.
     """
-    covered = set()
-    groups = []
+    classes = {}
     for u, v in itertools.combinations(g.labels, 2):
-        edge = frozenset((u, v))
-        if edge in covered:
-            continue
         traj = trajectory(g, u, v)
         if not traj.is_periodic:
             raise NotAdmissibleError(
                 AdmissibilityReport(False, (AdmissibilityFailure((u, v), "NotFourPeriodic"),))
             )
-        s1, s2, s3, s4 = traj.period
-        if traj.kind is TrajectoryKind.SINGLE_EDGE:
-            group = EdgeGroup(traj.kind, tuple(sorted((s1, s2))))
-        elif traj.kind is TrajectoryKind.ANGLE:
-            if s1 == s3:
-                apex, ends = s1, (s2, s4)
-            else:  # s2 == s4
-                apex, ends = s2, (s1, s3)
-            lo, hi = sorted(ends)
-            group = EdgeGroup(traj.kind, (lo, apex, hi))
-        else:
-            group = EdgeGroup(traj.kind, _canonical_cycle((s1, s2, s3, s4)))
-        new_edges = group.edges
-        if new_edges & covered:
-            # (a, b) -> (b, j_b(a)) is invertible, and a periodic orbit read
-            # backwards is an orbit too, so blocks of periodic input are disjoint
-            raise InternalConsistencyError(f"trajectory block at seed {(u, v)} overlaps another")
-        covered |= new_edges
-        groups.append(group)
+        classes.setdefault(_canonical_cycle(traj.period))
+    return list(classes)
+
+
+def edge_partition(g: DecoratedGraph) -> tuple[EdgeGroup, ...]:
+    """Partition the unordered label pairs into 4-cycles, angles, and single
+    edges: one block per trajectory class (`_trajectory_classes`).
+
+    Requires only 4-periodicity, not trivial holonomy.  Raises
+    InternalConsistencyError if the blocks' edges outnumber the pairs, that
+    is, if two blocks share an edge, which periodic input cannot produce.
+    """
+    groups = []
+    for p in _trajectory_classes(g):  # a canonical period leads with its least label
+        kind = _PERIODIC_KINDS[len(set(p))]
+        if kind is TrajectoryKind.SINGLE_EDGE:
+            p = p[:2]
+        elif kind is TrajectoryKind.ANGLE:  # so the apex is p0 or else p1
+            p = (p[1], p[0], p[3]) if p[0] == p[2] else p[:3]
+        groups.append(EdgeGroup(kind, p))
+    n = g.rank
+    if sum(len(group.edges) for group in groups) != n * (n - 1) // 2:
+        raise InternalConsistencyError("a trajectory block overlaps another")
     return tuple(groups)
 
 
 def presentation_relators(g: DecoratedGraph) -> list[tuple[str, ...]]:
     """Relator words: one square per generator plus one 4-letter word per
-    trajectory class.
-
-    Trajectories related by cyclic rotation or reversal give the same relation,
-    so each class contributes its lexicographically least representative.
-    """
+    trajectory class, its canonical period: the least of the rotations and
+    reversals of any of its trajectories, which all give the same relation."""
     require_admissible(g)
-    squares = [(s, s) for s in g.labels]
-    classes = {_canonical_cycle(trajectory(g, u, v).period)
-               for u, v in itertools.permutations(g.labels, 2)}
-    return squares + sorted(classes)
+    return [(s, s) for s in g.labels] + sorted(_trajectory_classes(g))

@@ -22,17 +22,14 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import (
-    DuplicateLabelError,
     InternalConsistencyError,
     NotACubeGroupError,
     NotAdmissibleError,
     NotInvolutionError,
     NotStandardError,
-    RankCapExceededError,
-    RankTooSmallError,
     UnknownLabelError,
 )
-from .graphs import DecoratedGraph, j_getters, require_admissible, validate_label
+from .graphs import DecoratedGraph, check_rank, j_getters, require_admissible, validate_labels
 from .signedperm import Perm, SignedPermutation
 
 RANK_CAP = 20  # bitmask vertex indexing
@@ -40,12 +37,16 @@ RANK_CAP = 20  # bitmask vertex indexing
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """Simple undirected graph with one generator label per edge."""
+    """Simple undirected graph with one generator label per edge.  The
+    constructor stores the vertices and each edge as tuples, so a graph
+    built from lists equals its tuple twin and is hashable."""
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, str], ...]  # (u, v, label) with u < v
 
     def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         pairs = [(u, v) for u, v, _ in self.edges]
         ends = [(x, l) for u, v, l in self.edges for x in (u, v)]  # (endpoint, label)
         if len(set(pairs)) != len(pairs):
@@ -250,10 +251,7 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     before the admissibility check, whose cost is cubic in it.
     """
     n = g.rank
-    if n < 1:
-        raise RankTooSmallError(n, 1)
-    if n > RANK_CAP:
-        raise RankCapExceededError(n, RANK_CAP)
+    check_rank(n, RANK_CAP)
     require_admissible(g)
     rights = [itemgetter(*generator_rho(g, s).point_images()) for s in g.labels]
     try:
@@ -314,8 +312,8 @@ def _vertex_closure(g: DecoratedGraph, rights, ident):
 
 
 def _closure(generators, labels, rights):
-    """Read the decorated graph of n labeled involutive generators off their
-    products of two, then close them with `_vertex_closure`.
+    """Read the decorated graph of n >= 1 labeled involutive generators off
+    their products of two, then close them with `_vertex_closure`.
 
     ``rights[k](m)`` is the product ``m * generators[k]``; `generators` are
     hashable values, and the identity is the square of the first one.
@@ -328,8 +326,6 @@ def _closure(generators, labels, rights):
     certifies its Cayley graph as the n-cube.  Raises NotACubeGroupError
     otherwise, after at most n·2^n + n(n-1) + 2n + 1 products.
     """
-    if not generators:
-        raise RankTooSmallError(0, 1)
     if len(set(generators)) != len(generators):
         raise NotACubeGroupError("generators are not pairwise distinct")
     ident = rights[0](generators[0])
@@ -373,12 +369,12 @@ def decorated_graph_from_group(generators, labels, mul=_times) -> DecoratedGraph
     """Extract the decorated graph from involutive generators of a cube group.
 
     Works with any multiplication oracle over hashable, equality-comparable
-    elements.  More than RANK_CAP generators, a repeated label or a bad label
-    are rejected before any product is made.  `_closure` reads the graph off
-    the generators' products of two and certifies it by closing the group by
-    cube vertex; for a group each map read is an involution, and for another
-    oracle a map that is not, or a graph that is not admissible, raises
-    NotACubeGroupError.
+    elements.  A rank (the number of labels) outside 1 to RANK_CAP, a bad
+    label or a repeated one is rejected before any product is made.
+    `_closure` reads the graph off the generators' products of two and
+    certifies it by closing the group by cube vertex; for a group each map
+    read is an involution, and for another oracle a map that is not, or a
+    graph that is not admissible, raises NotACubeGroupError.
 
     `Perm` generators of one degree n >= 2 under the default `mul` are closed
     on their image tuples, one `itemgetter` call per product, as
@@ -392,12 +388,8 @@ def decorated_graph_from_group(generators, labels, mul=_times) -> DecoratedGraph
     generators = list(generators)
     if len(generators) != len(labels):
         raise ValueError("one generator per label required")
-    if len(labels) > RANK_CAP:
-        raise RankCapExceededError(len(labels), RANK_CAP)
-    for i, s in enumerate(labels):
-        validate_label(s)
-        if s in labels[:i]:
-            raise DuplicateLabelError(s)
+    check_rank(len(labels), RANK_CAP)
+    validate_labels(labels)
     if (mul is _times and all(type(x) is Perm for x in generators)
             and len({len(x.images) for x in generators}) == 1 and len(generators[0].images) > 1):
         generators = [x.images for x in generators]

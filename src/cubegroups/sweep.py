@@ -28,8 +28,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .decompose import _orbit_tree, decomposition_ordering, normal_form, orbits, planar_orderings
-from .errors import CubeGroupError, RankCapExceededError, RankTooSmallError
-from .graphs import DecoratedGraph, _failing_seeds, validate_label
+from .errors import CubeGroupError
+from .graphs import DecoratedGraph, _failing_seeds, check_rank, validate_labels
 from .group import generate_group
 from .rep import sign_formula_mismatches
 
@@ -63,20 +63,12 @@ def involution_count(m: int) -> int:
     return b if m >= 1 else 1
 
 
-def _check_rank(rank: int) -> None:
-    if rank < 1:
-        raise RankTooSmallError(rank, 1)
-    if rank > RANK_CAP:
-        raise RankCapExceededError(rank, RANK_CAP)
-
-
 def _label_choices(rank: int):
     """The first `rank` standard labels, validated, and per label its
     label-fixing involutions in enumeration order."""
-    _check_rank(rank)
+    check_rank(rank, RANK_CAP)
     labels = tuple(DEFAULT_LABELS[:rank])
-    for s in labels:
-        validate_label(s)
+    validate_labels(labels)
     choices = [[{s: s, **j} for j in involutions_of([t for t in labels if t != s])]
                for s in labels]
     return labels, choices
@@ -197,7 +189,7 @@ def sweep(rank: int) -> SweepReport:
     admissible graphs are built (see `_admissible_graphs`); each failure
     carries the graph's index in `enumerate_decorated_graphs(rank)`.
     """
-    _check_rank(rank)
+    check_rank(rank, RANK_CAP)
     report = SweepReport(rank, total_graphs=involution_count(rank - 1) ** rank)
     for index, g in _admissible_graphs(rank):
         report.admissible_count += 1

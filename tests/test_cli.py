@@ -347,3 +347,13 @@ def test_cli_import_loads_no_process_machinery():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, timeout=60)
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_cli_block_names_every_subcommand():
+    """The README's CLI block shows each subcommand the parser defines, once,
+    and no other."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = [line.split()[1] for line in block.splitlines() if line.startswith("cubegroups ")]
+    (subparsers,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    assert sorted(shown) == sorted(subparsers.choices)

@@ -15,6 +15,7 @@ from cubegroups.errors import (
 from cubegroups.graphs import (
     AdmissibilityFailure,
     DecoratedGraph,
+    EdgeGroup,
     Trajectory,
     TrajectoryKind,
     admissible_quick,
@@ -227,6 +228,78 @@ class TestEdgePartition:
             expected = {frozenset(p) for p in itertools.combinations(g.labels, 2)}
             assert len(seen) == len(expected)
             assert set(seen) == expected
+
+
+def _least_rotation(cycle):
+    """The least of the four rotations and four reversed rotations of a cycle."""
+    n = len(cycle)
+    rotations = [tuple(seq[(r + i) % n] for i in range(n)) for r in range(n)
+                 for seq in (cycle, tuple(reversed(cycle)))]
+    return min(rotations)
+
+
+def reference_edge_partition(g):
+    """The seed-by-seed construction: over the unordered pairs in label order,
+    skip a pair whose edge an earlier block covers, else build the block of
+    its trajectory, the ends sorted around an angle's apex.  Returns
+    ``(blocks, None)``, or ``(None, seed)`` at the first uncovered seed that
+    is not 4-periodic."""
+    covered, blocks = set(), []
+    for u, v in itertools.combinations(g.labels, 2):
+        if frozenset((u, v)) in covered:
+            continue
+        traj = trajectory(g, u, v)
+        if not traj.is_periodic:
+            return None, (u, v)
+        s1, s2, s3, s4 = traj.period
+        if traj.kind is TrajectoryKind.SINGLE_EDGE:
+            block = EdgeGroup(traj.kind, tuple(sorted((s1, s2))))
+        elif traj.kind is TrajectoryKind.ANGLE:
+            apex, ends = (s1, (s2, s4)) if s1 == s3 else (s2, (s1, s3))
+            lo, hi = sorted(ends)
+            block = EdgeGroup(traj.kind, (lo, apex, hi))
+        else:
+            block = EdgeGroup(traj.kind, _least_rotation(traj.period))
+        assert not block.edges & covered
+        covered |= block.edges
+        blocks.append(block)
+    return tuple(blocks), None
+
+
+def reference_relators(g):
+    """Squares, then the least rotation of every seed's period over the
+    ordered pairs, sorted and without repeats."""
+    classes = {_least_rotation(trajectory(g, u, v).period)
+               for u, v in itertools.permutations(g.labels, 2)}
+    return [(s, s) for s in g.labels] + sorted(classes)
+
+
+class TestOneWalk:
+    """`edge_partition` and `presentation_relators` read the trajectory
+    classes off one walk; the seed-by-seed construction is the oracle."""
+
+    @pytest.mark.parametrize("rank,periodic,admissible", [
+        (1, 1, 1), (2, 1, 1), (3, 4, 4), (4, 54, 22)])
+    def test_matches_the_seed_by_seed_construction(self, rank, periodic, admissible):
+        counts = [0, 0]
+        for g in enumerate_decorated_graphs(rank):
+            blocks, seed = reference_edge_partition(g)
+            if seed is None:
+                assert edge_partition(g) == blocks  # order included
+                counts[0] += 1
+            else:
+                with pytest.raises(NotAdmissibleError) as exc:
+                    edge_partition(g)
+                assert exc.value.report.failures == (AdmissibilityFailure(seed, "NotFourPeriodic"),)
+            if admissible_quick(g):
+                assert presentation_relators(g) == reference_relators(g)
+                counts[1] += 1
+            else:
+                with pytest.raises(NotAdmissibleError) as exc:
+                    presentation_relators(g)
+                assert exc.value.report == is_admissible(g)
+        # at rank 4, 32 graphs are 4-periodic with nontrivial holonomy: partitioned, no relators
+        assert counts == [periodic, admissible]
 
 
 class TestRelators:

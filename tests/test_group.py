@@ -143,6 +143,15 @@ class TestLabeledGraph:
     def test_label_may_repeat_at_distinct_vertices(self):
         assert len(LabeledGraph((0, 1, 2, 3), ((0, 1, "a"), (2, 3, "a"))).edges) == 2
 
+    def test_lists_are_stored_as_tuples(self):
+        lg = LabeledGraph([0, 1, 2], [[0, 1, "a"], [1, 2, "b"]])
+        twin = LabeledGraph((0, 1, 2), ((0, 1, "a"), (1, 2, "b")))
+        assert lg.vertices == (0, 1, 2)
+        assert lg.edges == ((0, 1, "a"), (1, 2, "b"))
+        assert lg == twin
+        assert hash(lg) == hash(twin)
+        assert lg.adjacency() == twin.adjacency()
+
 
 class TestGeneratorRho:
     def test_d4_a(self, d4):
@@ -251,7 +260,7 @@ class TestGenerateGroup:
             raise AssertionError("the rank must be bounded before the admissibility check")
 
         monkeypatch.setattr(group, "require_admissible", fail)
-        with pytest.raises(RankCapExceededError, match="rank 21 exceeds cap 20"):
+        with pytest.raises(RankCapExceededError, match="^rank 21 exceeds cap 20$"):
             generate_group(graph_from([f"s{i}" for i in range(21)]))
 
     def test_identity_vertex_subset_empty(self, d4):
@@ -520,7 +529,7 @@ class TestStandardSubgroup:
         assert sub.graph.labels == ("b", "c")
 
     def test_empty_subset(self, d4):
-        with pytest.raises(RankTooSmallError):
+        with pytest.raises(RankTooSmallError, match="^rank 0 too small; need at least 1$"):
             standard_subgroup(generate_group(d4), [])
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -636,7 +645,7 @@ class TestDecoratedGraphFromGroup:
             raise AssertionError("no product may be made past the rank cap")
 
         labels = tuple("abcdefghijklmnopqrstu")
-        with pytest.raises(RankCapExceededError):
+        with pytest.raises(RankCapExceededError, match="^rank 21 exceeds cap 20$"):
             decorated_graph_from_group(range(len(labels)), labels, mul)
 
     def test_repeated_label_before_any_product(self):
@@ -660,8 +669,30 @@ class TestDecoratedGraphFromGroup:
             decorated_graph_from_group([1, 2], ("a", "b c"), mul)
 
     def test_no_generators(self):
-        with pytest.raises(RankTooSmallError):
+        with pytest.raises(RankTooSmallError, match="^rank 0 too small; need at least 1$"):
             decorated_graph_from_group([], ())
+
+    @pytest.mark.parametrize("labels", [
+        (1, "b"), ("a", b"b"), ("", "b"), ("a", "b c"), ("a#", "b"), ("a", 'b"'),  # bad
+        ("a", "a"), ("a", "b", "a"),  # repeated
+        ("a", "a", "b c"), ("a", "b c", "b c"), ("a:", "a:"),  # both: the first fault wins
+    ])
+    def test_bad_label_list_fails_as_in_the_graph_constructor(self, labels):
+        products = 0
+
+        def mul(x, y):
+            nonlocal products
+            products += 1
+            return x * y
+
+        with pytest.raises((ValueError, DuplicateLabelError)) as expected:
+            DecoratedGraph(labels, {s: {t: t for t in labels} for s in labels})
+        gens = [Perm((1, 0, 2, 3)), Perm((0, 1, 3, 2)), Perm((2, 3, 0, 1))][:len(labels)]
+        with pytest.raises(type(expected.value)) as got:
+            decorated_graph_from_group(gens, labels, mul)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+        assert products == 0
 
     def test_equal_generators(self):
         gens = [Perm.from_cycles(2, [(0, 1)]), Perm.from_cycles(2, [(0, 1)])]

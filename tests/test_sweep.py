@@ -83,14 +83,26 @@ def test_enumeration_validates_the_label_set(monkeypatch):
 
 
 def test_rank_cap():
-    with pytest.raises(RankCapExceededError):
+    with pytest.raises(RankCapExceededError, match="^rank 6 exceeds cap 5$"):
         list(enumerate_decorated_graphs(6))
-    with pytest.raises(RankCapExceededError):
+    with pytest.raises(RankCapExceededError, match="^rank 6 exceeds cap 5$"):
         sweep(6)
-    with pytest.raises(RankTooSmallError):
+    with pytest.raises(RankTooSmallError, match="^rank 0 too small; need at least 1$"):
         sweep(0)
-    with pytest.raises(RankTooSmallError):
+    with pytest.raises(RankTooSmallError, match="^rank 0 too small; need at least 1$"):
         list(enumerate_decorated_graphs(0))
+
+
+@pytest.mark.parametrize("rank", [True, False, 2.0, "3", None])
+def test_rank_that_is_not_an_int_is_a_type_error(rank, monkeypatch):
+    def build(labels, involutions):
+        raise AssertionError("no graph may be built for a rank that is not an int")
+
+    monkeypatch.setattr(sweep_module, "_trusted_graph", build)
+    with pytest.raises(TypeError, match="rank must be an int, not "):
+        sweep(rank)
+    with pytest.raises(TypeError, match="rank must be an int, not "):
+        next(enumerate_decorated_graphs(rank))
 
 
 def test_verify_graph_clean_on_fixture(d4):
