@@ -9,7 +9,8 @@ both build paths run, numbers each element by its cube vertex (the bitmask in
 Right multiplication is then a formula, `CubeGroup.step`, not a table, and
 so is any product, `CubeGroup.multiply`: T(xy) = T(x) △ p_x(T(y)) for the
 vertices T and permutation part p_x of x.  The Cayley edge list is derived by
-the same rule on each access, not stored.
+the same rule on each access, not stored.  On tuples, which compose
+associatively, the closure multiplies each cube edge at its lower end only.
 The reverse construction first reads the graph off the products of two
 generators: rho_s * rho_t sits at the vertex {s, j_s(t)}, where exactly one
 other such product sits.
@@ -185,16 +186,18 @@ class CubeGroup:
         Not re-validated: vertex i lists (i, i | b) once per bit b not in i, so no
         edge is parallel, u < v and every endpoint is below 2^n.  The closure
         checked i * rho_k at i ^ (1 << p_i(k)), and rho_k is an involution, so both
-        ends give an edge the same label and vertex i has all n, k on bit p_i(k)."""
-        labels, by_bit, edges = self.graph.labels, {}, []
-        for i, e in enumerate(self.elements):
+        ends give an edge the same label and vertex i has all n, k on bit p_i(k).
+        The edges share the vertex tuple's ints."""
+        labels, vertices, by_bit = self.graph.labels, tuple(range(self.order)), {}
+        for e in self.elements:
             perm = e.matrix.perm
             if perm not in by_bit:
                 by_bit[perm] = sorted(zip([1 << p for p in perm], labels))
-            edges += [(i, i | b, s) for b, s in by_bit[perm] if not i & b]
         lg = object.__new__(_labeled_graph)
-        object.__setattr__(lg, "vertices", tuple(range(self.order)))
-        object.__setattr__(lg, "edges", tuple(edges))
+        object.__setattr__(lg, "vertices", vertices)
+        object.__setattr__(lg, "edges", tuple(
+            (i, vertices[i | b], s) for i, e in zip(vertices, self.elements)
+            for b, s in by_bit[e.matrix.perm] if not i & b))
         return lg
 
     @cached_property
@@ -245,9 +248,10 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     The closure multiplies the matrices' images of the 2n points +-e_t, one
     `itemgetter` call per product, and stores each product at its cube
     vertex (`_vertex_closure`), which certifies the Cayley graph as the
-    n-cube as it goes; then it decodes each of the 2^n elements once.  An
-    admissible graph always generates a cube group, so a closure that is not
-    one raises InternalConsistencyError with the closure's reason.  The rank is bounded
+    n-cube as it goes, each edge from its lower end (n·2^(n-1) + n products);
+    then it decodes each of the 2^n elements once.  An admissible graph
+    always generates a cube group, so a closure that is not one raises
+    InternalConsistencyError with the closure's reason.  The rank is bounded
     before the admissibility check, whose cost is cubic in it.
     """
     n = g.rank
@@ -255,7 +259,7 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     require_admissible(g)
     rights = [itemgetter(*generator_rho(g, s).point_images()) for s in g.labels]
     try:
-        elements = _vertex_closure(g, rights, tuple(range(2 * n)))
+        elements = _vertex_closure(g, rights, tuple(range(2 * n)), associative=True)
     except NotACubeGroupError as exc:
         raise InternalConsistencyError(
             f"an admissible graph did not generate a cube group: {exc.reason}"
@@ -269,7 +273,7 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     return CubeGroup(g, elements)
 
 
-def _vertex_closure(g: DecoratedGraph, rights, ident):
+def _vertex_closure(g: DecoratedGraph, rights, ident, *, associative=False):
     """Breadth-first closure of the group of graph g, stored by cube vertex.
 
     ``rights[k](x)`` is the product ``x * rho_k`` (k indexes g's labels) and
@@ -285,6 +289,10 @@ def _vertex_closure(g: DecoratedGraph, rights, ident):
     passed certify the Cayley graph as the n-cube with the masks as
     coordinates: each generator flips one bit, the bits p(k) at a vertex are
     distinct (p is a permutation), and masks map one-to-one onto elements.
+    With ``associative`` (the rights compose tuples) only each edge's lower
+    end and the n squares at layer 1 are multiplied: x * rho_k * rho_k = x
+    once rho_k^2 = 1, and distinct elements keep a vertex's down labels
+    apart.  A magma can pass the lower ends alone, so an oracle keeps both.
     """
     n, labels, compose_js = g.rank, g.labels, j_getters(g)
     elements = [None] * (1 << n)
@@ -296,6 +304,8 @@ def _vertex_closure(g: DecoratedGraph, rights, ident):
         m, p = elements[c], bits[c]
         bits[c] = None
         for s, right, compose_j, b in zip(labels, rights, compose_js, p):
+            if associative and c & b and c != b:  # a down edge, checked from below
+                continue
             x = right(m)
             v = c ^ b
             y = elements[v]
@@ -311,7 +321,7 @@ def _vertex_closure(g: DecoratedGraph, rights, ident):
     return elements
 
 
-def _closure(generators, labels, rights):
+def _closure(generators, labels, rights, *, associative=False):
     """Read the decorated graph of n >= 1 labeled involutive generators off
     their products of two, then close them with `_vertex_closure`.
 
@@ -324,7 +334,8 @@ def _closure(generators, labels, rights):
     pairs of equal ones with distinct first letters s and u, and then
     j_s(t) = u.  The graph read must be admissible; the closure then
     certifies its Cayley graph as the n-cube.  Raises NotACubeGroupError
-    otherwise, after at most n·2^n + n(n-1) + 2n + 1 products.
+    otherwise, after at most n·2^n + n(n-1) + 2n + 1 products, n·2^n
+    replaced by n·2^(n-1) + n when the rights are ``associative``.
     """
     if len(set(generators)) != len(generators):
         raise NotACubeGroupError("generators are not pairwise distinct")
@@ -358,7 +369,7 @@ def _closure(generators, labels, rights):
         raise NotACubeGroupError(
             f"extracted decorated graph is not admissible ({reason})"
         ) from exc
-    return _vertex_closure(graph, rights, ident), graph
+    return _vertex_closure(graph, rights, ident, associative=associative), graph
 
 
 def _times(a, b):
@@ -378,11 +389,11 @@ def decorated_graph_from_group(generators, labels, mul=_times) -> DecoratedGraph
 
     `Perm` generators of one degree n >= 2 under the default `mul` are closed
     on their image tuples, one `itemgetter` call per product, as
-    (m * g)(q) = m(g(q)); the outcome is the same, as `_closure` names
-    elements only by label and vertex.  Every other input keeps the generic
-    oracle, which is what `_closure`'s checks are written against: `Perm`'s
-    own product reports mixed degrees, and at degree 0 or 1 `itemgetter`
-    would not return a tuple.
+    (m * g)(q) = m(g(q)), each edge from its lower end only; the outcome is
+    the same, as `_closure` names elements only by label and vertex.  Every
+    other input keeps the generic oracle, which is what `_closure`'s checks
+    are written against: `Perm`'s own product reports mixed degrees, and at
+    degree 0 or 1 `itemgetter` would not return a tuple.
     """
     labels = tuple(labels)
     generators = list(generators)
@@ -390,13 +401,14 @@ def decorated_graph_from_group(generators, labels, mul=_times) -> DecoratedGraph
         raise ValueError("one generator per label required")
     check_rank(len(labels), RANK_CAP)
     validate_labels(labels)
-    if (mul is _times and all(type(x) is Perm for x in generators)
-            and len({len(x.images) for x in generators}) == 1 and len(generators[0].images) > 1):
+    tuples = (mul is _times and all(type(x) is Perm for x in generators)
+              and len({len(x.images) for x in generators}) == 1 and len(generators[0].images) > 1)
+    if tuples:
         generators = [x.images for x in generators]
         rights = [itemgetter(*x) for x in generators]
     else:
         rights = [lambda m, g=g: mul(m, g) for g in generators]
-    _, graph = _closure(generators, labels, rights)
+    _, graph = _closure(generators, labels, rights, associative=tuples)
     return graph
 
 

@@ -82,9 +82,11 @@ def sign_formula_mismatches(G: CubeGroup) -> list[tuple[str, ...]]:
     sign of j_s(t), and its sign flips when t equals s.  The closure stored
     the fold of ``(s,) + w``, element i (the fold of w) times rho_s with
     s = labels[k], at vertex ``G.step(i, k)``, checked against the element
-    there.  So once element 0 is the identity, the fold of the empty word,
-    checking the step on element i's matrix against element G.step(i, k)'s
-    for every i and k covers every word; |G|·n steps in all.  This tests
+    there if the step goes up the cube (a step down follows from rho_s^2 = 1).
+    So once element 0 is the identity, the fold of the empty word, checking
+    the step on element i's matrix against element G.step(i, k)'s for every
+    i and k covers every word; |G|·n steps in all, up and down, so this
+    re-checks every edge the closure multiplied at one end only.  This tests
     that the generator matrices, the closure's products and the involution
     table agree.  The group is walked breadth-first from element 0 with one
     word per element; a failed step is reported as (s,) + w and not walked

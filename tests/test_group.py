@@ -943,9 +943,9 @@ class TestVertexClosure:
         closures = []
         vertex_closure = group._vertex_closure
 
-        def counting_closure(*args):
-            closures.append(args[0])
-            return vertex_closure(*args)
+        def counting_closure(*args, **kwargs):
+            closures.append((args[0], kwargs))
+            return vertex_closure(*args, **kwargs)
 
         def forbidden(*args):
             raise AssertionError("generate_group must not run the reverse construction's closure")
@@ -969,12 +969,20 @@ class TestVertexClosure:
             g = graph_from("abcdefghijkl")
             G = generate_group(g)
         assert G.order == 2 ** n
-        assert closures == [g]
-        # getters of 2n point images are the right multiplications: one per product
-        assert products[2 * n] == n * 2 ** n
+        tuples = {"associative": True}
+        assert closures == [(g, tuples)]
+        # getters of 2n point images are the right multiplications: one per
+        # product, each edge from its lower end plus the n squares at layer 1
+        assert products == {2 * n: n * 2 ** (n - 1) + n}
+        products.clear()
         gens = [Perm(generator_rho(g, s).point_images()) for s in g.labels]
-        assert decorated_graph_from_group(gens, g.labels) == g
-        assert closures == [g, g]
+        with monkeypatch.context() as patched:
+            patched.setattr(group, "itemgetter", counting_itemgetter)
+            assert decorated_graph_from_group(gens, g.labels) == g
+        assert closures == [(g, tuples), (g, tuples)]
+        # the same closure after the identity, the 2n square checks and the
+        # n(n-1) products of two
+        assert products == {2 * n: n * 2 ** (n - 1) + n + n * (n - 1) + 2 * n + 1}
 
     def test_product_off_its_predicted_vertex(self, d4):
         # D4's generators with rho_a negating b instead of a: rho_a then
@@ -988,9 +996,20 @@ class TestVertexClosure:
             ).point_images())
             for s in labels
         ]
-        with pytest.raises(NotACubeGroupError, match="the product of element 1 by 'a' is not"
-                           " element 0, the one at its vertex"):
-            group._vertex_closure(d4, rights, tuple(range(6)))
+        for associative in (False, True):  # the square is checked on both paths
+            with pytest.raises(NotACubeGroupError, match="the product of element 1 by 'a' is not"
+                               " element 0, the one at its vertex"):
+                group._vertex_closure(d4, rights, tuple(range(6)), associative=associative)
+
+    def test_square_that_is_not_the_identity(self, rank1):
+        # a 4-cycle composes associatively, but its square is not the
+        # identity: the one down edge that even lower ends alone multiply
+        rights = [itemgetter(1, 2, 3, 0)]
+        for associative in (False, True):
+            with pytest.raises(NotACubeGroupError) as exc:
+                group._vertex_closure(rank1, rights, (0, 1, 2, 3), associative=associative)
+            assert exc.value.reason == ("the product of element 1 by 'a' is not element 0,"
+                                        " the one at its vertex")
 
     def test_two_vertices_hold_one_element(self):
         # three diagonal involutions of a Klein four-group: every product
@@ -999,8 +1018,24 @@ class TestVertexClosure:
         g = graph_from("abc")
         rights = [itemgetter(*SignedPermutation(g.labels, (0, 1, 2), signs).point_images())
                   for signs in ((-1, 1, 1), (1, -1, 1), (-1, -1, 1))]
-        with pytest.raises(NotACubeGroupError, match="two vertices hold the same element"):
-            group._vertex_closure(g, rights, tuple(range(6)))
+        for associative in (False, True):
+            with pytest.raises(NotACubeGroupError, match="two vertices hold the same element"):
+                group._vertex_closure(g, rights, tuple(range(6)), associative=associative)
+
+    def test_lower_ends_alone_close_as_both_ends(self, rank12_union):
+        """On the tuple path the down-edge products follow from the lower
+        ends: every admissible graph at ranks 1-5 and the rank-12 union get
+        the same elements, by vertex, with and without them."""
+        checked = Counter()
+        graphs = [g for rank in range(1, 6) for _, g in _admissible_graphs(rank)]
+        for g in graphs + [rank12_union]:
+            rights = [itemgetter(*generator_rho(g, s).point_images()) for s in g.labels]
+            ident = tuple(range(2 * g.rank))
+            both = group._vertex_closure(g, rights, ident)
+            assert group._vertex_closure(g, rights, ident, associative=True) == both
+            assert len(both) == 2 ** g.rank
+            checked[g.rank] += 1
+        assert checked == {1: 1, 2: 1, 3: 4, 4: 22, 5: 236, 12: 1}
 
     @pytest.mark.parametrize("degree, ranks", [(4, range(1, 5)), (5, range(1, 4))])
     def test_every_tuple_of_involutions_matches_the_oracle(self, degree, ranks):
@@ -1078,9 +1113,9 @@ class TestImageTupleClosure:
             products[len(a.images)] += 1
             return perm_product(a, b)
 
-        def counting_closure(*args):
+        def counting_closure(*args, **kwargs):
             closures.append(args[1])
-            return closure(*args)
+            return closure(*args, **kwargs)
 
         monkeypatch.setattr(Perm, "__mul__", counting_product)
         monkeypatch.setattr(group, "_closure", counting_closure)
