@@ -127,33 +127,30 @@ def _print_tree(g, node, depth=0):
         _print_tree(g, c, depth + 1)
 
 
-def cmd_decompose(args) -> int:
-    g = _load_graph(args.file)
+def _normal_form(g: graphs.DecoratedGraph):
+    """g's group, and the normal form that certifies its orbit-tree ordering."""
     G = generate_group(g)
-    ordering = decompose.decomposition_ordering(decompose.orbit_tree(g))
-    decompose.normal_form(G, ordering)  # certifies the decomposition
-    print("ordering: " + " ".join(ordering))
-    print("G = " + "".join(f"<{s}>" for s in ordering))
+    return G, decompose.normal_form(G, decompose.decomposition_ordering(decompose.orbit_tree(g)))
+
+
+def cmd_decompose(args) -> int:
+    _, nf = _normal_form(_load_graph(args.file))
+    print("ordering: " + " ".join(nf.ordering))
+    print("G = " + "".join(f"<{s}>" for s in nf.ordering))
     return EXIT_OK
 
 
 def cmd_normal_form(args) -> int:
-    g = _load_graph(args.file)
-    G = generate_group(g)
-    ordering = decompose.decomposition_ordering(decompose.orbit_tree(g))
-    nf = decompose.normal_form(G, ordering)
+    G, nf = _normal_form(_load_graph(args.file))
     elem = G.element_for_word(_parse_word(args.word))
-    bits = nf.bits_for(elem)
-    print("ordering: " + " ".join(ordering))
-    print("bits: " + "".join(str(b) for b in bits))
+    print("ordering: " + " ".join(nf.ordering))
+    print("bits: " + "".join(str(b) for b in nf.bits_for(elem)))
     print("element: " + formats.format_word(nf.word_for(elem)))
     return EXIT_OK
 
 
 def cmd_rep(args) -> int:
-    g = _load_graph(args.file)
-    word = _parse_word(args.word)
-    m = rep.rho_via_formula(g, word)
+    m = rep.rho_via_formula(_load_graph(args.file), _parse_word(args.word))
     if args.matrix:
         for row in m.as_matrix():
             print(" ".join(f"{x:2d}" for x in row))

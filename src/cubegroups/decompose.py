@@ -18,24 +18,35 @@ from .errors import (
     InternalConsistencyError,
     NotADecompositionError,
     RankTooSmallError,
-    UnknownLabelError,
 )
-from .graphs import DecoratedGraph, Permutation, require_admissible
+from .graphs import DecoratedGraph, Permutation, _check_label, require_admissible
 from .group import CubeGroup, GroupElement
 
 
 def perm_image(g: DecoratedGraph, word) -> Permutation:
-    """Composite of the involutions along a word, applied-first order.
+    """Composite of the involutions along a word, applied-first order: each
+    label's `_walk` along the word, read once and checked first.  Constant on
+    group elements: equal elements give equal permutations."""
+    word = _checked_word(g, word)
+    return {t: _walk(g.involutions, word, t)[0] for t in g.labels}
 
-    Constant on group elements: equal elements give equal permutations.
-    """
-    comp = {t: t for t in g.labels}
+
+def _checked_word(g: DecoratedGraph, word) -> tuple[str, ...]:
+    """The word as a tuple; UnknownLabelError for its first letter g lacks."""
+    word = tuple(word)
     for s in word:
-        if s not in g.involutions:
-            raise UnknownLabelError(s)
-        j = g.involutions[s]
-        comp = {t: j[comp[t]] for t in comp}
-    return comp
+        _check_label(g.involutions, s)
+    return word
+
+
+def _walk(involutions, word, t: str) -> tuple[str, int]:
+    """The sign-count formula's one recurrence: label t carried along a checked
+    word, applied-first, to its image, flipping where a letter equals it."""
+    flips = 0
+    for s in word:
+        flips += s == t
+        t = involutions[s][t]
+    return t, flips
 
 
 @dataclass(frozen=True)
@@ -163,11 +174,8 @@ def normal_form(G: CubeGroup, ordering) -> NormalForm:
     raises UnknownLabelError for that letter; one that misses or repeats a
     label raises ValueError.
     """
-    ordering = tuple(ordering)
+    ordering = _checked_word(G.graph, ordering)
     pos = {s: k for k, s in enumerate(G.graph.labels)}
-    for s in ordering:
-        if s not in pos:
-            raise UnknownLabelError(s)
     missing = [s for s in pos if s not in ordering]
     repeated = sorted({s for s in ordering if ordering.count(s) > 1})
     if missing or repeated:

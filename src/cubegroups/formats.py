@@ -30,12 +30,13 @@ from __future__ import annotations
 import re
 
 from .errors import (
+    DuplicateLabelError,
     NonDisjointCyclesError,
     NotInvolutionError,
     ParseError,
     SelfCycleError,
 )
-from .graphs import DecoratedGraph, validate_label
+from .graphs import DecoratedGraph, validate_label, validate_labels
 from .group import CubeGroup
 from .signedperm import Perm
 
@@ -84,12 +85,10 @@ def parse_decorated_graph(doc: str) -> DecoratedGraph:
             labels = tuple(line[len("gens:"):].split())
             if not labels:
                 raise ParseError("empty generator list", lineno)
-            seen = set()
-            for s in labels:
-                _parse_label(s, lineno)
-                if s in seen:
-                    raise ParseError(f"duplicate generator label {s!r}", lineno)
-                seen.add(s)
+            try:
+                validate_labels(labels)
+            except (ValueError, DuplicateLabelError) as exc:
+                raise ParseError(str(exc), lineno) from None
             continue
         if ":" not in line:
             raise ParseError(f"expected '<label>: <cycles>', got {line!r}", lineno)

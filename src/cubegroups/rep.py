@@ -2,9 +2,10 @@
 
 Every group element acts on the ambient coordinate space by a signed
 permutation.  The sign picked up by each basis vector can be read directly off
-a defining word: walking the word letter by letter while tracking the image of
-the target label, the sign flips each time the next letter equals the current
-image.  `sign_formula_mismatches` checks this formula against the matrix fold
+a defining word: `rho_via_formula` reads the word once (any iterable), checks
+its letters in order, then walks each label along it (`decompose._walk`),
+tracking its image, the sign flipping each time the next letter equals it.
+`sign_formula_mismatches` checks this formula against the matrix fold
 on every word at once, by induction over the products the closure checked
 as it built the group (one step per element and letter).  Orbit blocks
 of the label action span invariant coordinate subspaces, so the
@@ -16,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import orbits, perm_image, two_orbit_check
+from .decompose import _checked_word, _walk, orbits, two_orbit_check
 from .errors import UnknownLabelError
-from .graphs import DecoratedGraph, j_getters, require_admissible
+from .graphs import DecoratedGraph, _check_label, j_getters, require_admissible
 from .group import CubeGroup
 from .signedperm import SignedPermutation
 
@@ -49,29 +50,22 @@ def sign_count(g: DecoratedGraph, word, t: str) -> SignCount:
 
     With the word in applied-first order, flip i fires when letter i+1 equals
     the image of t under the first i involutions (the i = 0 test is just
-    "first letter equals t").  Only the parity is contractual; the count is
-    kept for diagnostics.
+    "first letter equals t").  An unknown target is reported before any
+    letter.  Only the parity is contractual; the count is kept for diagnostics.
     """
-    if t not in g.involutions:
-        raise UnknownLabelError(t)
-    x = t
-    count = 0
-    for s in word:
-        if s not in g.involutions:
-            raise UnknownLabelError(s)
-        if s == x:
-            count += 1
-        x = g.involutions[s][x]
-    return SignCount(tuple(word), t, count)
+    _check_label(g.involutions, t)
+    word = _checked_word(g, word)
+    return SignCount(word, t, _walk(g.involutions, word, t)[1])
 
 
 def rho_via_formula(g: DecoratedGraph, word) -> SignedPermutation:
-    """Matrix of a word from the closed formula: permutation part from the
-    involution composite, sign part from the flip counts.  Always equals the
-    fold of the generator matrices."""
-    perm = perm_image(g, word)
-    signs = {t: sign_count(g, word, t).sign for t in g.labels}
-    return SignedPermutation.from_maps(g.labels, perm, signs)
+    """Matrix of a word from the closed formula: one walk per label gives its
+    image (the permutation part) and its flip count (the sign).  Always
+    equals the fold of the generator matrices."""
+    word, labels = _checked_word(g, word), g.labels
+    walks = [_walk(g.involutions, word, t) for t in labels]
+    return SignedPermutation(labels, [labels.index(x) for x, _ in walks],
+                             [-1 if flips % 2 else 1 for _, flips in walks])
 
 
 def sign_formula_mismatches(G: CubeGroup) -> list[tuple[str, ...]]:

@@ -23,7 +23,7 @@ from cubegroups.errors import (
     UnknownLabelError,
 )
 from cubegroups.graphs import DecoratedGraph, admissible_quick
-from cubegroups.group import GroupElement, generate_group, generator_rho
+from cubegroups.group import GroupElement, generate_group, generator_rho, word_matrix
 from cubegroups.signedperm import SignedPermutation
 from cubegroups.sweep import _admissible_graphs, enumerate_decorated_graphs
 
@@ -51,6 +51,17 @@ class TestPermImage:
     def test_unknown_letter(self, d4):
         with pytest.raises(UnknownLabelError):
             perm_image(d4, ["a", "z"])
+
+    def test_first_unknown_letter_is_reported(self, d4):
+        with pytest.raises(UnknownLabelError) as exc:
+            perm_image(d4, ["a", "y", "z"])
+        assert exc.value.label == "y"
+
+    def test_word_is_read_once(self, d4):
+        word = ("a", "b", "c", "b")
+        m = word_matrix(d4, word)
+        assert perm_image(d4, iter(word)) == perm_image(d4, word) == m.perm_map()
+        assert not m.is_identity
 
 
 class TestOrbits:

@@ -67,6 +67,13 @@ class TestParseDecoratedGraph:
             parse_decorated_graph("# rank 2\ngens: a a\n")
         assert exc.value.line == 2
         assert "'a'" in str(exc.value)
+        assert "duplicate generator label: 'a'" in str(exc.value)
+
+    def test_bad_header_label_rejected_at_its_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_decorated_graph("\ngens: a b)\n")
+        assert exc.value.line == 2
+        assert "bad label 'b)'" in str(exc.value)
 
     def test_missing_header(self):
         with pytest.raises(ParseError) as exc:

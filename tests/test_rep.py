@@ -6,7 +6,7 @@ import pytest
 
 from cubegroups import group
 from cubegroups.errors import RankTooSmallError, UnknownLabelError
-from cubegroups.graphs import admissible_quick
+from cubegroups.graphs import DecoratedGraph, admissible_quick
 from cubegroups.group import generate_group, generator_rho, word_matrix
 from cubegroups.rep import (
     embed_vertex,
@@ -66,6 +66,21 @@ class TestSignCount:
                 checked += 1
         assert checked > 0
 
+    def test_one_shot_word_is_recorded(self, d4):
+        sc = sign_count(d4, iter(["a", "a"]), "a")
+        assert sc == sign_count(d4, ("a", "a"), "a")
+        assert sc.word == ("a", "a") and sc.count == 2
+
+    def test_first_unknown_letter_is_reported(self, d4):
+        with pytest.raises(UnknownLabelError) as exc:
+            sign_count(d4, iter(["a", "y", "z"]), "b")
+        assert exc.value.label == "y"
+
+    def test_unknown_target_is_reported_before_letters(self, d4):
+        with pytest.raises(UnknownLabelError) as exc:
+            sign_count(d4, ["a", "y"], "x")
+        assert exc.value.label == "x"
+
 
 class TestRhoViaFormula:
     def test_empty_word_is_identity(self, d4):
@@ -91,6 +106,33 @@ class TestRhoViaFormula:
         for _ in range(100):
             word = tuple(rng.choice(rank5.labels) for _ in range(rng.randint(7, 20)))
             assert rho_via_formula(rank5, word) == word_matrix(rank5, word)
+
+    def test_word_is_read_once(self, d4, rank12_union):
+        rng = random.Random(5)
+        for g in (d4, rank12_union):
+            for k in range(6):
+                word = tuple(rng.choice(g.labels) for _ in range(k))
+                m = word_matrix(g, word)
+                assert rho_via_formula(g, iter(word)) == m
+                assert rho_via_formula(g, (s for s in word)) == m
+                assert rho_via_formula(g, word) == m
+        assert str(rho_via_formula(d4, iter(["a"]))) == "[a->-a, b->+c, c->+b]"
+
+    def test_first_unknown_letter_is_reported(self, d4):
+        with pytest.raises(UnknownLabelError) as exc:
+            rho_via_formula(d4, iter(["a", "y", "z"]))
+        assert exc.value.label == "y"
+
+    def test_flip_is_read_before_the_letter_acts(self):
+        # on a real graph j_s fixes s, so "s equals the image before j_s acts"
+        # and "s equals it after" agree; an unchecked graph whose j_a moves a
+        # tells them apart, and the fold still takes the sign before the step
+        swap = {"a": "b", "b": "a"}
+        g = DecoratedGraph._trusted(("a", "b"), {"a": swap, "b": {"a": "a", "b": "b"}})
+        for k in range(4):
+            for word in itertools.product(g.labels, repeat=k):
+                assert rho_via_formula(g, word) == word_matrix(g, word)
+        assert sign_count(g, ["a"], "a").count == 1
 
 
 def _sign_formula_words(g):
