@@ -36,8 +36,8 @@ from .errors import (
     ParseError,
     SelfCycleError,
 )
-from .graphs import DecoratedGraph, validate_label, validate_labels
-from .group import CubeGroup
+from .graphs import DecoratedGraph, check_rank, validate_label, validate_labels
+from .group import RANK_CAP, CubeGroup
 from .signedperm import Perm
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -72,14 +72,16 @@ def _parse_cycles(text: str, lineno: int) -> list[tuple[str, ...]]:
 
 
 def parse_decorated_graph(doc: str) -> DecoratedGraph:
-    """Parse a decorated-graph document; round-trips with `serialize_decorated_graph`."""
-    labels = None
-    inv_lines = []
+    """Parse a decorated-graph document; round-trips with `serialize_decorated_graph`.
+
+    One pass over the lines, so the first error in line order is raised."""
+    involutions = None  # label -> its involution, the identity until its line
+    defined = set()
     for lineno, raw in enumerate(doc.splitlines(), start=1):
         line = _strip(raw)
         if not line:
             continue
-        if labels is None:
+        if involutions is None:
             if not line.startswith("gens:"):
                 raise ParseError("first line must declare generators with 'gens:'", lineno)
             labels = tuple(line[len("gens:"):].split())
@@ -89,40 +91,34 @@ def parse_decorated_graph(doc: str) -> DecoratedGraph:
                 validate_labels(labels)
             except (ValueError, DuplicateLabelError) as exc:
                 raise ParseError(str(exc), lineno) from None
+            involutions = {s: {t: t for t in labels} for s in labels}
             continue
         if ":" not in line:
             raise ParseError(f"expected '<label>: <cycles>', got {line!r}", lineno)
         name, _, cycle_text = line.partition(":")
-        inv_lines.append((lineno, name.strip(), cycle_text.strip()))
-    if labels is None:
-        raise ParseError("missing 'gens:' header")
-
-    involutions = {s: {t: t for t in labels} for s in labels}
-    defined = set()
-    for lineno, name, cycle_text in inv_lines:
-        if name not in labels:
+        name = name.strip()
+        if name not in involutions:
             raise ParseError(f"unknown generator {name!r}", lineno)
         if name in defined:
             raise ParseError(f"generator {name!r} declared twice", lineno)
         defined.add(name)
-        mapping = {t: t for t in labels}
-        moved = set()
-        for cycle in _parse_cycles(cycle_text, lineno):
+        mapping = involutions[name]
+        for cycle in _parse_cycles(cycle_text.strip(), lineno):
             if len(cycle) != 2:
                 raise ParseError(f"cycles must have length exactly 2, got {cycle}", lineno)
-            u, v = cycle
-            for x in (u, v):
-                if x not in labels:
+            for x in cycle:
+                if x not in involutions:
                     raise ParseError(f"unknown label {x!r} in cycle", lineno)
                 if x == name:
                     raise SelfCycleError(
                         f"generator {name!r} may not appear in its own cycles", lineno
                     )
-                if x in moved:
+                if mapping[x] != x:
                     raise NonDisjointCyclesError(f"label {x!r} moved twice", lineno)
-                moved.add(x)
+            u, v = cycle
             mapping[u], mapping[v] = v, u
-        involutions[name] = mapping
+    if involutions is None:
+        raise ParseError("missing 'gens:' header")
     return DecoratedGraph(labels, involutions)
 
 
@@ -142,8 +138,11 @@ def serialize_decorated_graph(g: DecoratedGraph) -> str:
 
 
 def parse_perm_group(doc: str) -> tuple[tuple[str, ...], list[Perm]]:
-    """Parse labeled involutive permutation generators on positive integers."""
-    entries = []
+    """Parse labeled involutive permutation generators on positive integers.
+
+    One pass over the lines, so the first error in line order is raised; more
+    than RANK_CAP generators raise RankCapExceededError before any `Perm` is built."""
+    generators = {}  # label -> its 2-cycles of points
     for lineno, raw in enumerate(doc.splitlines(), start=1):
         line = _strip(raw)
         if not line:
@@ -152,7 +151,9 @@ def parse_perm_group(doc: str) -> tuple[tuple[str, ...], list[Perm]]:
             raise ParseError(f"expected '<label> = <cycles>', got {line!r}", lineno)
         name, _, cycle_text = line.partition("=")
         name = _parse_label(name.strip(), lineno)
-        cycles = []
+        if name in generators:
+            raise ParseError(str(DuplicateLabelError(name)), lineno)
+        cycles, seen = [], set()
         for cycle in _parse_cycles(cycle_text.strip(), lineno):
             try:
                 points = tuple(int(p) for p in cycle)
@@ -160,31 +161,23 @@ def parse_perm_group(doc: str) -> tuple[tuple[str, ...], list[Perm]]:
                 raise ParseError(f"non-integer point in cycle {cycle}", lineno) from None
             if any(p < 1 for p in points):
                 raise ParseError("points must be positive integers", lineno)
-            cycles.append(points)
-        entries.append((lineno, name, cycles))
-    if not entries:
-        raise ParseError("no generators declared")
-    labels = []
-    for lineno, name, _ in entries:
-        if name in labels:
-            raise ParseError(f"duplicate generator label {name!r}", lineno)
-        labels.append(name)
-    moved = sorted({p for _, _, cycles in entries for c in cycles for p in c})
-    number = {p: i for i, p in enumerate(moved)}
-    perms = []
-    for lineno, name, cycles in entries:
-        seen = set()
-        for c in cycles:
-            if len(c) != 2:
+            if len(points) != 2:
                 raise NotInvolutionError(name)
-            if seen.intersection(c) or c[0] == c[1]:  # as in (1 01)
+            if seen.intersection(points) or points[0] == points[1]:  # as in (1 01)
                 raise NonDisjointCyclesError(f"point moved twice in {name!r}", lineno)
-            seen.update(c)
-        perm = Perm.from_cycles(len(moved), [tuple(number[p] for p in c) for c in cycles])
-        if perm.is_identity:  # else disjoint transpositions, so an involution
+            seen.update(points)
+            cycles.append(points)
+        if not cycles:  # the identity; disjoint transpositions are an involution
             raise NotInvolutionError(name)
-        perms.append(perm)
-    return tuple(labels), perms
+        generators[name] = cycles
+    if not generators:
+        raise ParseError("no generators declared")
+    check_rank(len(generators), RANK_CAP)
+    moved = sorted({p for cycles in generators.values() for c in cycles for p in c})
+    number = {p: i for i, p in enumerate(moved)}
+    perms = [Perm.from_cycles(len(moved), [tuple(number[p] for p in c) for c in cycles])
+             for cycles in generators.values()]
+    return tuple(generators), perms
 
 
 def subset_name(G: CubeGroup, index: int) -> str:

@@ -19,14 +19,16 @@ from dataclasses import dataclass
 
 from .decompose import _checked_word, _walk, orbits, two_orbit_check
 from .errors import UnknownLabelError
-from .graphs import DecoratedGraph, _check_label, j_getters, require_admissible
+from .graphs import DecoratedGraph, _check_label, j_getters, require_admissible, validate_labels
 from .group import CubeGroup
 from .signedperm import SignedPermutation
 
 
 def embed_vertex(labels, subset) -> dict[str, int]:
-    """Cube-vertex vector: coordinate -1 on the subset, +1 elsewhere."""
+    """Cube-vertex vector: coordinate -1 on the subset, +1 elsewhere.  A bad
+    label raises ValueError and a repeated one DuplicateLabelError."""
     labels = tuple(labels)
+    validate_labels(labels)
     subset = set(subset)
     unknown = subset - set(labels)
     if unknown:

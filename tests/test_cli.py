@@ -267,6 +267,14 @@ class TestFromGroup:
         err = capsys.readouterr().err
         assert "error[parse]" in err and "line 2" in err
 
+    def test_oversized_generator_list_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "rank21.pg"
+        path.write_text("".join(f"g{k} = ({2 * k + 1} {2 * k + 2})\n" for k in range(21)))
+        assert main(["from-group", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error[RankCapExceeded]: rank 21 exceeds cap 20\n"
+
     def test_eight_cycle_group_rejected(self, tmp_path, capsys):
         # two involutions whose product has order 4: Cayley graph is an 8-cycle
         path = tmp_path / "dih8.pg"

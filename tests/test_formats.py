@@ -1,13 +1,16 @@
 import re
 import string
+from unittest.mock import Mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cubegroups import formats
 from cubegroups.errors import (
     NonDisjointCyclesError,
     NotInvolutionError,
     ParseError,
+    RankCapExceededError,
     SelfCycleError,
 )
 from cubegroups.formats import (
@@ -19,10 +22,13 @@ from cubegroups.formats import (
     subset_name,
 )
 from cubegroups.graphs import admissible_quick
-from cubegroups.group import generate_group
+from cubegroups.group import RANK_CAP, generate_group
 from cubegroups.sweep import enumerate_decorated_graphs
 
 from conftest import graph_from
+
+# RANK_CAP + 1 one-transposition generators on disjoint points
+OVERSIZED_PERMS = "".join(f"g{k} = ({2 * k + 1} {2 * k + 2})\n" for k in range(RANK_CAP + 1))
 
 # three distinct printable labels, as a D4-shaped graph: j_x = (y z)
 label_triples = st.lists(st.text(string.printable, max_size=3), min_size=3, max_size=3,
@@ -106,6 +112,7 @@ class TestParseDecoratedGraph:
         ("gens:\n", "empty generator list (line 1)", 1),
         ("# only a comment\n", "missing 'gens:' header", None),
         ("gens: a b\nc: (a b)\n", "unknown generator 'c' (line 2)", 2),
+        ("gens: a b c\na: (b c)\nb: (a z)\n", "unknown label 'z' in cycle (line 3)", 3),
         ("gens: a b c\na: (b c)\na: id\n", "generator 'a' declared twice (line 3)", 3),
     ])
     def test_rejection_message_and_line(self, doc, message, line):
@@ -178,7 +185,21 @@ class TestParsePermGroup:
         with pytest.raises(ParseError) as exc:
             parse_perm_group("a = (1 2)\nb = (1 3)\n\na = (3 4)\n")
         assert exc.value.line == 4
-        assert "'a'" in str(exc.value)
+        assert str(exc.value) == "duplicate generator label: 'a' (line 4)"
+
+    def test_oversized_generator_list_builds_no_perm(self, monkeypatch):
+        perm = Mock()  # records every call, on Perm or on its attributes
+        monkeypatch.setattr(formats, "Perm", perm)
+        with pytest.raises(RankCapExceededError) as exc:
+            parse_perm_group(OVERSIZED_PERMS)
+        assert str(exc.value) == f"rank {RANK_CAP + 1} exceeds cap {RANK_CAP}"
+        assert perm.mock_calls == []
+
+    def test_generator_list_at_the_cap_is_read(self):
+        doc = OVERSIZED_PERMS.split("\n", 1)[1]
+        labels, perms = parse_perm_group(doc)
+        assert len(labels) == len(perms) == RANK_CAP
+        assert all(len(p.images) == 2 * RANK_CAP for p in perms)
 
     def test_rejects_empty_document(self):
         with pytest.raises(ParseError):
@@ -201,6 +222,22 @@ class TestParsePermGroup:
         assert type(exc.value) is ParseError
         assert str(exc.value) == message
         assert exc.value.line == 1
+
+
+class TestFirstErrorInLineOrder:
+    """Each reader makes one pass over the lines, so of two errors the one
+    on the earlier line is raised."""
+
+    def test_perm_group(self):
+        # the non-involution on line 1 comes before the missing '=' on line 2
+        with pytest.raises(NotInvolutionError, match="generator 'a'"):
+            parse_perm_group("a = (1 2 3)\nb (1 2)\n")
+
+    def test_decorated_graph(self):
+        # the unknown generator on line 2 comes before the bad line 4
+        with pytest.raises(ParseError) as exc:
+            parse_decorated_graph("gens: a b c\nz: (a b)\n\nnot a line\n")
+        assert str(exc.value) == "unknown generator 'z' (line 2)"
 
 
 class TestDotExport:

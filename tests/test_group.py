@@ -23,6 +23,7 @@ from cubegroups.formats import subset_name
 from cubegroups.graphs import (
     DecoratedGraph,
     admissible_quick,
+    is_admissible,
     require_admissible,
     trajectory,
 )
@@ -938,6 +939,24 @@ class TestVertexClosure:
                 tuple(coords[j] for j in row) for row in step]
             checked[g.rank] += 1
         assert checked == {1: 1, 2: 1, 3: 4, 4: 22, 5: 236, 8: 1, 12: 1}
+
+    def test_closes_exactly_the_admissible_graphs(self):
+        """Both directions of the central theorem at ranks 2-4: the generator
+        matrices of every decorated graph, closed as `generate_group` closes
+        them, form a cube group exactly when the graph is admissible.  Rank 1
+        is left out, as `itemgetter` of one point returns a bare int."""
+        outcomes = Counter()
+        for rank in (2, 3, 4):
+            for g in enumerate_decorated_graphs(rank):
+                rights = [itemgetter(*generator_rho(g, s).point_images()) for s in g.labels]
+                try:
+                    group._vertex_closure(g, rights, tuple(range(2 * rank)), associative=True)
+                    closed = True
+                except NotACubeGroupError:
+                    closed = False
+                assert closed == is_admissible(g).admissible, g
+                outcomes[closed] += 1
+        assert outcomes == {False: 238, True: 27}
 
     def test_each_build_path_closes_once(self, monkeypatch):
         closures = []

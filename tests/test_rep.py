@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cubegroups import group
-from cubegroups.errors import RankTooSmallError, UnknownLabelError
+from cubegroups.errors import DuplicateLabelError, RankTooSmallError, UnknownLabelError
 from cubegroups.graphs import DecoratedGraph, admissible_quick
 from cubegroups.group import generate_group, generator_rho, word_matrix
 from cubegroups.rep import (
@@ -35,6 +35,16 @@ class TestEmbedVertex:
     def test_unknown_label(self):
         with pytest.raises(UnknownLabelError):
             embed_vertex("abc", {"z"})
+
+    def test_repeated_label(self):
+        # once read as {'a': -1}, one entry for two labels
+        with pytest.raises(DuplicateLabelError):
+            embed_vertex("aa", "a")
+
+    @pytest.mark.parametrize("labels", [("a", 1), ("a", "b c"), ("a", "")])
+    def test_bad_label(self, labels):
+        with pytest.raises(ValueError, match="bad label"):
+            embed_vertex(labels, ())
 
 
 class TestSignCount:
