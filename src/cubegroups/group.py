@@ -18,7 +18,7 @@ other such product sits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
@@ -31,6 +31,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .graphs import DecoratedGraph, check_rank, j_getters, require_admissible, validate_labels
+from .graphs import validate_label
 from .signedperm import Perm, SignedPermutation
 
 RANK_CAP = 20  # bitmask vertex indexing
@@ -48,6 +49,8 @@ class LabeledGraph:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+        for _, _, s in self.edges:
+            validate_label(s)
         pairs = [(u, v) for u, v, _ in self.edges]
         ends = [(x, l) for u, v, l in self.edges for x in (u, v)]  # (endpoint, label)
         if len(set(pairs)) != len(pairs):
@@ -157,11 +160,13 @@ class CubeGroup:
     The group acts simply transitively on the cube's vertices, so
     ``elements[i]`` is the one whose matrix negates coordinate ``labels[k]``
     of (1, ..., 1) exactly when bit k of i is set.  Right multiplication,
-    the labeled Cayley graph, flips one bit (`step`).
+    the labeled Cayley graph, flips one bit (`step`).  The closure's tuples are
+    kept by vertex and decoded into `elements` on first access; `order` is
+    2^rank.  Equality and repr compare the graph, which fixes the group.
     """
 
     graph: DecoratedGraph
-    elements: list[GroupElement]
+    _products: list = field(repr=False, compare=False)  # `elements` once decoded
 
     @property
     def rank(self) -> int:
@@ -169,7 +174,16 @@ class CubeGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return 1 << self.rank
+
+    @cached_property
+    def elements(self) -> list[GroupElement]:
+        # in place by layer, so the tuples' memory is reused; one perm tuple per permutation part
+        labels, elements, perms = self.graph.labels, self._products, {}
+        for i in sorted(range(self.order), key=int.bit_count):
+            elements[i] = GroupElement(i, SignedPermutation._from_point_images(
+                labels, elements[i], perms))
+        return elements
 
     def step(self, i: int, k: int) -> int:
         """The index of ``elements[i] * rho(labels[k])``: flip bit p(k), p the
@@ -249,7 +263,7 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     `itemgetter` call per product, and stores each product at its cube
     vertex (`_vertex_closure`), which certifies the Cayley graph as the
     n-cube as it goes, each edge from its lower end (n·2^(n-1) + n products);
-    then it decodes each of the 2^n elements once.  An admissible graph
+    `CubeGroup.elements` decodes them on first access.  An admissible graph
     always generates a cube group, so a closure that is not one raises
     InternalConsistencyError with the closure's reason.  The rank is bounded
     before the admissibility check, whose cost is cubic in it.
@@ -264,12 +278,6 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
         raise InternalConsistencyError(
             f"an admissible graph did not generate a cube group: {exc.reason}"
         ) from exc
-    # decoded in place by layer, near the order the tuples were made, so their memory is reused;
-    # elements share one tuple per permutation part (8 for the 4,096 of the rank-12 benchmark)
-    perms = {}
-    for i in sorted(range(1 << n), key=int.bit_count):
-        elements[i] = GroupElement(i, SignedPermutation._from_point_images(
-            g.labels, elements[i], perms))
     return CubeGroup(g, elements)
 
 

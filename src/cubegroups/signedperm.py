@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LabelSetMismatchError, UnknownLabelError
+from .graphs import validate_labels
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,6 +27,7 @@ class SignedPermutation:
     def __post_init__(self):
         for name in ("labels", "perm", "signs"):  # any sequence, stored as a tuple
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        validate_labels(self.labels)
         n = len(self.labels)
         if not all(isinstance(x, int) for x in (*self.perm, *self.signs)):
             raise ValueError("perm and signs must hold ints")  # sorted() and `in` pass 1.0

@@ -7,7 +7,7 @@ from operator import itemgetter
 
 import pytest
 
-from cubegroups import group
+from cubegroups import cli, group
 from cubegroups.errors import (
     CubeGroupError,
     DuplicateLabelError,
@@ -19,7 +19,7 @@ from cubegroups.errors import (
     RankTooSmallError,
     UnknownLabelError,
 )
-from cubegroups.formats import subset_name
+from cubegroups.formats import serialize_decorated_graph, subset_name
 from cubegroups.graphs import (
     DecoratedGraph,
     admissible_quick,
@@ -125,7 +125,13 @@ class TestLabeledGraph:
         with pytest.raises(ValueError, match="not a vertex"):
             LabeledGraph(vertices, (edge,))
 
-    # two faults at once: the checks run parallel edges, u < v, endpoints, labels
+    @pytest.mark.parametrize("label", [5, None, "", "a b", "a:b", ("a",)])
+    def test_edge_label_must_be_a_label(self, label):
+        with pytest.raises(ValueError, match="bad label"):
+            LabeledGraph((0, 1), ((0, 1, label),))
+
+    # two faults at once: the checks run edge labels, parallel edges, u < v,
+    # endpoints, repeated labels
     @pytest.mark.parametrize("vertices, edges, message", [
         ((0, 1, 2), ((0, 1, "a"), (0, 1, "b"), (2, 1, "c")), "parallel edges"),  # + reversed
         ((0, 1, 2), ((0, 1, "a"), (0, 1, "b"), (2, 2, "c")), "parallel edges"),  # + self-loop
@@ -136,6 +142,8 @@ class TestLabeledGraph:
         ((0, 1, 2), ((1, 0, "a"), (0, 2, "a")), "u < v"),  # reversed + repeated label
         ((0, 1), ((0, 0, "a"), (0, 1, "a")), "u < v"),  # self-loop + repeated label
         ((0, 1), ((0, 1, "a"), (0, 5, "a")), "not a vertex"),  # endpoint + repeated label
+        ((0, 1), ((1, 0, 5),), "bad label"),  # + reversed
+        ((0, 1), ((0, 1, "a"), (0, 1, "a b")), "bad label"),  # + parallel edges
     ])
     def test_first_failing_check_names_the_fault(self, vertices, edges, message):
         with pytest.raises(ValueError, match=message):
@@ -315,6 +323,64 @@ class TestGenerateGroup:
         assert ba == ac
         bac = rho["b"].compose(rho["a"]).compose(rho["c"])
         assert bac == rho["a"]
+
+
+class TestElementsOnDemand:
+    """`generate_group` keeps the closure's point-image tuples by vertex, and
+    the first access to `elements` decodes them; the order, the standard
+    subgroups and the `group` command read no matrix."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        """The point-image tuples decoded so far, in decoding order."""
+        calls, decode = [], SignedPermutation._from_point_images
+
+        def record(labels, images, perms):
+            calls.append(images)
+            return decode(labels, images, perms)
+
+        monkeypatch.setattr(SignedPermutation, "_from_point_images", record)
+        return calls
+
+    def test_order_and_standard_subgroups_decode_nothing(self, rank12_union, decoded):
+        G = generate_group(rank12_union)
+        assert G.order == 4096
+        for subset in ("abcde", "fgh", "abcdeijkl"):
+            H = standard_subgroup(G, subset)
+            assert H.order == 2 ** len(subset)
+            assert H.graph == rank12_union.restricted(subset)
+        assert decoded == []
+
+    def test_group_command_decodes_nothing(self, rank12_union, decoded, tmp_path, capsys):
+        path = tmp_path / "rank12.dg"
+        path.write_text(serialize_decorated_graph(rank12_union))
+        assert cli.main(["group", str(path)]) == 0
+        assert "order 4096 = 2^12" in capsys.readouterr().out
+        assert decoded == []
+
+    def test_first_access_decodes_each_element_once(self, rank12_union, decoded):
+        G = generate_group(rank12_union)
+        elements = G.elements
+        assert len(decoded) == len(set(decoded)) == 4096
+        assert G.elements is elements
+        assert len(decoded) == 4096
+        assert [e.index for e in elements] == list(range(4096))
+        # one perm tuple object per permutation part
+        perms = {e.matrix.perm for e in elements}
+        assert len({id(e.matrix.perm) for e in elements}) == len(perms) < 4096
+
+    def test_equality_and_repr_name_the_graph(self, d4):
+        G, H = generate_group(d4), generate_group(d4)
+        H.elements
+        assert G == H
+        assert repr(G) == repr(H) == f"CubeGroup(graph={d4!r})"
+
+    def test_decoded_matrices_equal_the_word_fold(self, rank12_union):
+        groups = [generate_group(g) for _, g in _admissible_graphs(5)]
+        assert len(groups) == 236
+        for G in groups + [generate_group(rank12_union)]:
+            for i, e in enumerate(G.elements):
+                assert e.matrix == word_matrix(G.graph, G.word(i))
 
 
 def rank5_plus_d4(rank5):
@@ -852,9 +918,9 @@ class TestVertexNumbering:
             G.element_for_matrix(SignedPermutation(tuple("abcd"), (0, 1, 2, 3), (1, 1, 1, -1)))
 
     def test_rank12_group_retains_no_table(self, rank12_union):
-        # 1.14 MB measured on CPython 3.11: per element a matrix and its signs
-        # tuple, with one perm tuple per permutation part.  A stored table of
-        # the 12 neighbours per element adds at least 0.39 MB, even as one flat list.
+        # 1.12 MB measured on CPython 3.11: per element the closure's tuple of
+        # 24 point images (1.14 MB once `elements` decodes them).  A stored table
+        # of the 12 neighbours per element adds at least 0.39 MB, even as one flat list.
         gc.collect()
         tracemalloc.start()
         try:

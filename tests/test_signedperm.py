@@ -4,7 +4,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from cubegroups.errors import LabelSetMismatchError
+from cubegroups.errors import DuplicateLabelError, LabelSetMismatchError
 from cubegroups.group import generator_rho
 from cubegroups.signedperm import Perm, SignedPermutation
 
@@ -87,6 +87,25 @@ def test_public_constructor_rejects_floats(perm, signs):
     # sorted() and `in` compare 1.0 equal to 1; the entries index tuples
     with pytest.raises(ValueError):
         SignedPermutation(("a", "b"), perm, signs)
+
+
+@pytest.mark.parametrize("labels, error, message", [
+    # with repeated labels a swap would print as [a->+a, a->-a]
+    (("a", "a"), DuplicateLabelError, "duplicate generator label: 'a'"),
+    ((1, 2), ValueError, "bad label 1"),
+    (("a", "b c"), ValueError, "bad label 'b c'"),
+    (("", "b"), ValueError, "bad label ''"),
+])
+def test_public_constructor_checks_labels(labels, error, message):
+    with pytest.raises(error, match=message):
+        SignedPermutation(labels, (1, 0), (1, -1))
+    with pytest.raises(error, match=message):
+        SignedPermutation.identity(labels)
+
+
+def test_label_check_comes_first():
+    with pytest.raises(DuplicateLabelError):
+        SignedPermutation(("a", "a"), (0, 0), (1, 2))
 
 
 @pytest.mark.parametrize("perm_map, sign_map", [
