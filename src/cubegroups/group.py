@@ -8,9 +8,10 @@ both build paths run, numbers each element by its cube vertex (the bitmask in
 {0,1}^n of the coordinates it negates), which certifies the cube as it runs.
 Right multiplication is then a formula, `CubeGroup.step`, not a table, and
 so is any product, `CubeGroup.multiply`: T(xy) = T(x) △ p_x(T(y)) for the
-vertices T and permutation part p_x of x.  The Cayley edge list is derived by
-the same rule on each access, not stored.  On tuples, which compose
-associatively, the closure multiplies each cube edge at its lower end only.
+vertices T and permutation part p_x of x, read off the closure's point-image
+tuples, which the group keeps: neither decodes a matrix.  The Cayley edge list
+is derived by the same rule on each access, not stored.  On tuples, which
+compose associatively, the closure multiplies each cube edge at its lower end.
 The reverse construction first reads the graph off the products of two
 generators: rho_s * rho_t sits at the vertex {s, j_s(t)}, where exactly one
 other such product sits.
@@ -160,13 +161,14 @@ class CubeGroup:
     The group acts simply transitively on the cube's vertices, so
     ``elements[i]`` is the one whose matrix negates coordinate ``labels[k]``
     of (1, ..., 1) exactly when bit k of i is set.  Right multiplication,
-    the labeled Cayley graph, flips one bit (`step`).  The closure's tuples are
-    kept by vertex and decoded into `elements` on first access; `order` is
-    2^rank.  Equality and repr compare the graph, which fixes the group.
+    the labeled Cayley graph, flips one bit (`step`).  The closure's point-image
+    tuples, kept by vertex, serve `step`, `word` and `multiply`; `elements`
+    decodes them into a list of its own on first access.  Equality and repr
+    compare the graph, which fixes the group.
     """
 
     graph: DecoratedGraph
-    _products: list = field(repr=False, compare=False)  # `elements` once decoded
+    _products: list = field(repr=False, compare=False)  # the closure's point-image tuples
 
     @property
     def rank(self) -> int:
@@ -178,20 +180,17 @@ class CubeGroup:
 
     @cached_property
     def elements(self) -> list[GroupElement]:
-        # in place by layer, so the tuples' memory is reused; one perm tuple per permutation part
-        labels, elements, perms = self.graph.labels, self._products, {}
-        for i in sorted(range(self.order), key=int.bit_count):
-            elements[i] = GroupElement(i, SignedPermutation._from_point_images(
-                labels, elements[i], perms))
-        return elements
+        labels, perms = self.graph.labels, {}  # one perm tuple per permutation part
+        return [GroupElement(i, SignedPermutation._from_point_images(labels, x, perms))
+                for i, x in enumerate(self._products)]
 
     def step(self, i: int, k: int) -> int:
         """The index of ``elements[i] * rho(labels[k])``: flip bit p(k), p the
-        permutation part of element i, as rho_k negates only e_k.  The closure
-        stored that product there and checked it against the element there."""
-        if i < 0 or k < 0:  # the lists would count it from the end
+        permutation part of element i (point 2k's image over 2), as rho_k
+        negates only e_k.  The closure stored and checked that product there."""
+        if i < 0 or k < 0:  # the tuples would count it from the end
             raise IndexError(f"negative index in step({i}, {k})")
-        return i ^ 1 << self.elements[i].matrix.perm[k]
+        return i ^ 1 << (self._products[i][2 * k] >> 1)
 
     @property
     def cayley(self) -> LabeledGraph:
@@ -229,10 +228,10 @@ class CubeGroup:
         """The element of a word in applied-first order: a walk from the
         identity taking the letters last to first, as right factors."""
         word = tuple(word)
-        pos, elements, i = self._label_index, self.elements, 0
+        pos, products, i = self._label_index, self._products, 0
         try:
             for s in reversed(word):
-                i ^= 1 << elements[i].matrix.perm[pos[s]]  # step(i, pos[s]), inlined
+                i ^= 1 << (products[i][2 * pos[s]] >> 1)  # step(i, pos[s]), inlined
         except KeyError:
             raise UnknownLabelError(next(s for s in word if s not in pos)) from None
         return self.elements[i]
@@ -252,8 +251,8 @@ class CubeGroup:
         vertex rule T(xy) = T(x) △ p_x(T(y)) flips bit p_i(t) for each set bit t of k."""
         if not (0 <= i < self.order and 0 <= k < self.order):
             raise IndexError(f"element index out of range in multiply({i}, {k})")
-        perm = self.elements[i].matrix.perm
-        return i ^ sum([1 << p for t, p in enumerate(perm) if k >> t & 1])
+        x = self._products[i]
+        return i ^ sum([1 << (x[2 * t] >> 1) for t in range(self.rank) if k >> t & 1])
 
 
 def generate_group(g: DecoratedGraph) -> CubeGroup:
@@ -263,8 +262,9 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     `itemgetter` call per product, and stores each product at its cube
     vertex (`_vertex_closure`), which certifies the Cayley graph as the
     n-cube as it goes, each edge from its lower end (n·2^(n-1) + n products);
-    `CubeGroup.elements` decodes them on first access.  An admissible graph
-    always generates a cube group, so a closure that is not one raises
+    the group keeps them, and `CubeGroup.elements` decodes them on first
+    access.  An admissible graph always generates a cube group, so a closure
+    that is not one raises
     InternalConsistencyError with the closure's reason.  The rank is bounded
     before the admissibility check, whose cost is cubic in it.
     """

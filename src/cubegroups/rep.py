@@ -5,10 +5,10 @@ permutation.  The sign picked up by each basis vector can be read directly off
 a defining word: `rho_via_formula` reads the word once (any iterable), checks
 its letters in order, then walks each label along it (`decompose._walk`),
 tracking its image, the sign flipping each time the next letter equals it.
-`sign_formula_mismatches` checks this formula against the matrix fold
-on every word at once, by induction over the products the closure checked
-as it built the group (one step per element and letter).  Orbit blocks
-of the label action span invariant coordinate subspaces, so the
+`sign_formula_mismatches` checks this formula against the matrix fold on
+every word at once, by induction over the point-image tuples the closure
+checked and kept (one step per element and letter, no matrix decoded).
+Orbit blocks of the label action span invariant coordinate subspaces, so the
 representation is reducible whenever there are at least two blocks:
 `is_reducible` is another name for `decompose.two_orbit_check`.
 """
@@ -16,10 +16,11 @@ representation is reducible whenever there are at least two blocks:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .decompose import _checked_word, _walk, orbits, two_orbit_check
 from .errors import UnknownLabelError
-from .graphs import DecoratedGraph, _check_label, j_getters, require_admissible, validate_labels
+from .graphs import DecoratedGraph, _check_label, require_admissible, validate_labels
 from .group import CubeGroup
 from .signedperm import SignedPermutation
 
@@ -75,35 +76,34 @@ def sign_formula_mismatches(G: CubeGroup) -> list[tuple[str, ...]]:
     none), decided for every word of every length by induction over `G.step`.
 
     Prepending s to a word is one formula step: target t takes the image and
-    sign of j_s(t), and its sign flips when t equals s.  The closure stored
-    the fold of ``(s,) + w``, element i (the fold of w) times rho_s with
-    s = labels[k], at vertex ``G.step(i, k)``, checked against the element
-    there if the step goes up the cube (a step down follows from rho_s^2 = 1).
-    So once element 0 is the identity, the fold of the empty word, checking
-    the step on element i's matrix against element G.step(i, k)'s for every
-    i and k covers every word; |G|·n steps in all, up and down, so this
-    re-checks every edge the closure multiplied at one end only.  This tests
-    that the generator matrices, the closure's products and the involution
-    table agree.  The group is walked breadth-first from element 0 with one
-    word per element; a failed step is reported as (s,) + w and not walked
-    on, so formula and fold differ on every reported word.  A non-identity
-    element 0 is reported as the empty word.
+    sign of j_s(t), and its sign flips when t equals s.  On point images (2t
+    is +e_t, 2t+1 is -e_t) the step reads point 2t at ``2 * pos[j_s(t)] +
+    (t == s)`` and 2t+1 at its negation: a map from the involution table
+    alone.  The closure stored the images of element i (the fold of w) times
+    rho_s, s = labels[k], the fold of ``(s,) + w``, at vertex ``G.step(i, k)``,
+    checked there if the step goes up the cube (down follows from rho_s^2 = 1).
+    So once element 0 is the identity, comparing the step on every element's
+    whole tuple, -e_t images included, covers every word in |G|·n steps, up
+    and down, and re-checks each edge the closure multiplied at one end only;
+    no matrix is decoded.  This tests that the generator matrices, the
+    closure's products and the involution table agree.  The group is walked
+    breadth-first from element 0 with one word per element; a failed step is
+    reported as (s,) + w and not walked on, so formula and fold differ on
+    every reported word.  A non-identity element 0 is reported as ().
     """
-    labels, getters = G.graph.labels, j_getters(G.graph)
-    matrices = [e.matrix for e in G.elements]
-    if not matrices[0].is_identity:
+    labels, involutions, products = G.graph.labels, G.graph.involutions, G._products
+    pos, rights = G._label_index, []  # rights: the formula's one-letter maps
+    for s in labels:
+        plus = [2 * pos[involutions[s][t]] + (t == s) for t in labels]
+        rights.append(itemgetter(*[q ^ b for q in plus for b in (0, 1)]))
+    if products[0] != tuple(range(2 * len(labels))):
         return [()]
-    words = {0: ()}  # element index -> the word it was reached by
-    queue = [0]
-    bad = []
+    words, queue, bad = {0: ()}, [0], []  # words: element index -> the word it was reached by
     for i in queue:  # the list grows while it is walked
-        m, word = matrices[i], words[i]
-        for k, (s, get, p) in enumerate(zip(labels, getters, m.perm)):
-            j = i ^ 1 << p  # G.step(i, k), inlined
-            signs = list(get(m.signs))
-            signs[k] = -signs[k]
-            target = matrices[j]
-            if get(m.perm) != target.perm or tuple(signs) != target.signs:
+        x, word = products[i], words[i]
+        for k, (s, right) in enumerate(zip(labels, rights)):
+            j = i ^ 1 << (x[2 * k] >> 1)  # G.step(i, k), inlined
+            if right(x) != products[j]:
                 bad.append((s,) + word)
             elif j not in words:
                 words[j] = (s,) + word

@@ -8,17 +8,17 @@ label and cuts a branch at the first failing seed the assigned labels
 decide, since every completion shares that seed; its children re-check only
 the seeds it left undecided.  Each admissible graph keeps its index in the
 brute-force enumeration `enumerate_decorated_graphs`, the search's test
-oracle.  The sweep runs group generation, orbit, normal-form, and
-sign-formula checks on every admissible graph and aggregates failures
-(expected: none).
+oracle.  The sweep runs group generation, orbit, normal-form and sign-formula
+checks on every admissible graph and aggregates failures (expected: none).
 Graphs are built without re-validation: the label set is validated once,
 and each involution fixes its own label by construction.  Group
 generation certifies the cube group as it closes it: each product must be
 the element at the cube vertex read from its left factor, and the 2^n
-vertices must hold distinct elements.  The sign-formula
-check (`rep.sign_formula_mismatches`) steps along the products that closure
-checked: one formula step per element and letter proves, by induction on
-word length, that the formula equals the matrix fold on every word.
+vertices must hold distinct elements.  The sign-formula check
+(`rep.sign_formula_mismatches`) steps along the point-image tuples that
+closure checked and kept: one step per element and letter proves, by
+induction on word length, that the formula equals the matrix fold on every
+word.  The battery decodes no element's matrix.
 The sweep is one loop in the calling process.
 """
 

@@ -227,9 +227,9 @@ class TestNormalForm:
     def test_rank12_normal_form_retains_two_int_lists(self, rank12_union):
         # 0.30 MB measured on CPython 3.11: two lists of 4,096 ints.  Tables of
         # the 4,096 bit tuples, as dicts keyed by tuple, retained 1.56 MB.  The
-        # elements are decoded first, so only the normal form's own lists count.
+        # normal form steps on the group's kept point-image tuples and decodes
+        # no element, so a decode of the 4,096 matrices would count here too.
         G = generate_group(rank12_union)
-        G.elements
         ordering = decomposition_ordering(orbit_tree(rank12_union))
         gc.collect()
         tracemalloc.start()

@@ -8,6 +8,7 @@ from operator import itemgetter
 import pytest
 
 from cubegroups import cli, group
+from cubegroups.decompose import decomposition_ordering, normal_form, orbit_tree
 from cubegroups.errors import (
     CubeGroupError,
     DuplicateLabelError,
@@ -36,8 +37,9 @@ from cubegroups.group import (
     standard_subgroup,
     word_matrix,
 )
+from cubegroups.rep import sign_formula_mismatches
 from cubegroups.signedperm import Perm, SignedPermutation
-from cubegroups.sweep import _admissible_graphs, enumerate_decorated_graphs
+from cubegroups.sweep import _admissible_graphs, enumerate_decorated_graphs, sweep, verify_graph
 
 from conftest import graph_from
 
@@ -328,7 +330,8 @@ class TestGenerateGroup:
 class TestElementsOnDemand:
     """`generate_group` keeps the closure's point-image tuples by vertex, and
     the first access to `elements` decodes them; the order, the standard
-    subgroups and the `group` command read no matrix."""
+    subgroups, the `group` command, words, products, normal forms and the
+    sweep battery read no matrix."""
 
     @pytest.fixture
     def decoded(self, monkeypatch):
@@ -356,6 +359,29 @@ class TestElementsOnDemand:
         path.write_text(serialize_decorated_graph(rank12_union))
         assert cli.main(["group", str(path)]) == 0
         assert "order 4096 = 2^12" in capsys.readouterr().out
+        assert decoded == []
+
+    def test_sweep_battery_decodes_nothing(self, decoded):
+        assert sweep(4).ok
+        graphs = [g for _, g in _admissible_graphs(5)]
+        assert len(graphs) == 236
+        assert all(verify_graph(g) == [] for g in graphs)
+        assert decoded == []
+
+    def test_words_products_and_formula_check_decode_nothing(self, rank12_union, decoded):
+        G = generate_group(rank12_union)
+        nf = normal_form(G, decomposition_ordering(orbit_tree(rank12_union)))
+        assert sorted(nf.vertices) == list(range(4096))
+        words = [G.word(i) for i in range(4096)]
+        assert [len(w) for w in words] == [i.bit_count() for i in range(4096)]
+        pos, rng = {s: k for k, s in enumerate(rank12_union.labels)}, random.Random(3)
+        for _ in range(200):
+            i, k = rng.randrange(4096), rng.randrange(4096)
+            j = i
+            for s in reversed(words[k]):
+                j = G.step(j, pos[s])
+            assert G.multiply(i, k) == j
+        assert sign_formula_mismatches(G) == []
         assert decoded == []
 
     def test_first_access_decodes_each_element_once(self, rank12_union, decoded):

@@ -222,15 +222,26 @@ class TestFormulaAndFold:
         # the elements of a and b trade vertices, so the formula step from
         # each lands on a matrix the fold does not give there
         G = generate_group(d4)
-        G.elements[1], G.elements[2] = G.elements[2], G.elements[1]
+        G._products[1], G._products[2] = G._products[2], G._products[1]
         assert sign_formula_mismatches(G) == [
             ("a",), ("b",), ("b", "a", "c"), ("c", "b", "c"),
             ("a", "b", "c", "a", "c"), ("c", "b", "c", "a", "c"),
         ]
 
+    def test_corrupted_odd_image_is_caught(self, d4):
+        # element 3's images of -e_a and -e_b trade places; its images of
+        # the points +e_t, the ones a decoded matrix reads, are intact
+        G = generate_group(d4)
+        x = list(G._products[3])
+        x[1], x[3] = x[3], x[1]
+        assert x[1] != x[0] ^ 1 and x[3] != x[2] ^ 1
+        G._products[3] = tuple(x)
+        assert G.elements[3].matrix == word_matrix(d4, G.word(3))
+        assert sign_formula_mismatches(G) == [("c", "a"), ("a", "b"), ("b", "c", "b", "a")]
+
     def test_missing_identity_is_the_empty_word(self, d4):
         G = generate_group(d4)
-        G.elements[0] = G.elements[1]
+        G._products[0] = G._products[1]
         assert not G.elements[0].matrix.is_identity
         assert sign_formula_mismatches(G) == [()]
 
