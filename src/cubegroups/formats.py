@@ -193,8 +193,8 @@ def subset_name(G: CubeGroup, index: int) -> str:
 def cayley_dot(G: CubeGroup) -> str:
     """Cayley graph in DOT, vertices named by their subsets, edges labeled."""
     lines = ["graph cayley {"]
-    for e in G.elements:
-        lines.append(f'  v{e.index} [label="{subset_name(G, e.index)}"];')
+    for i in range(G.order):
+        lines.append(f'  v{i} [label="{subset_name(G, i)}"];')
     for u, v, label in G.cayley.edges:
         lines.append(f'  v{u} -- v{v} [label="{label}"];')
     lines.append("}")

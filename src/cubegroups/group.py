@@ -1,20 +1,16 @@
 """Group generation, hypercube recognition, and decorated-graph extraction.
 
-An admissible decorated graph of rank n generates a group of 2^n signed
-permutations (the geometric images of the group elements), whose labeled
-Cayley graph must be the 1-skeleton of the n-cube.  The group acts simply
-transitively on the cube's vertices, so `_vertex_closure`, the one closure
-both build paths run, numbers each element by its cube vertex (the bitmask in
-{0,1}^n of the coordinates it negates), which certifies the cube as it runs.
-Right multiplication is then a formula, `CubeGroup.step`, not a table, and
-so is any product, `CubeGroup.multiply`: T(xy) = T(x) △ p_x(T(y)) for the
-vertices T and permutation part p_x of x, read off the closure's point-image
-tuples, which the group keeps: neither decodes a matrix.  The Cayley edge list
-is derived by the same rule on each access, not stored.  On tuples, which
-compose associatively, the closure multiplies each cube edge at its lower end.
-The reverse construction first reads the graph off the products of two
-generators: rho_s * rho_t sits at the vertex {s, j_s(t)}, where exactly one
-other such product sits.
+A decorated graph of rank n is admissible exactly when its generator
+matrices (signed permutations) generate a group of order 2^n whose labeled
+Cayley graph is the n-cube.  The group acts simply transitively on the
+cube's vertices, so `_vertex_closure`, the one closure both build paths run,
+numbers each element by its cube vertex (the bitmask of the coordinates it
+negates) and certifies the cube as it runs, for `generate_group` deciding
+admissibility too.  Any product is then a formula on the kept point-image
+tuples (`CubeGroup.step`, `CubeGroup.multiply`), not a table.  The reverse
+construction first reads the graph off the products of two generators:
+rho_s * rho_t sits at the vertex {s, j_s(t)}, where exactly one other such
+product sits.
 """
 
 from __future__ import annotations
@@ -71,8 +67,7 @@ class LabeledGraph:
         return adj
 
 
-# Bound once: perfbench/layers.py replaces the name LabeledGraph here with a
-# plain function during a traced run.
+# Bound once: a traced perfbench/layers.py run replaces the name LabeledGraph here.
 _labeled_graph = LabeledGraph
 
 
@@ -218,11 +213,13 @@ class CubeGroup:
         return {s: k for k, s in enumerate(self.graph.labels)}
 
     def element_for_matrix(self, m: SignedPermutation) -> GroupElement:
-        """The element whose matrix is m; KeyError when m is not in the group."""
+        """The element whose matrix is m, read off its vertex with no decode;
+        KeyError when m is not in the group."""
         i = sum(1 << p for p, s in zip(m.perm, m.signs) if s < 0)  # the coordinates m negates
-        if i >= self.order or self.elements[i].matrix != m:
+        if (i >= self.order or m.labels != self.graph.labels
+                or m.point_images() != self._products[i]):
             raise KeyError(m)
-        return self.elements[i]
+        return GroupElement(i, m)
 
     def element_for_word(self, word) -> GroupElement:
         """The element of a word in applied-first order: a walk from the
@@ -251,34 +248,38 @@ class CubeGroup:
         vertex rule T(xy) = T(x) △ p_x(T(y)) flips bit p_i(t) for each set bit t of k."""
         if not (0 <= i < self.order and 0 <= k < self.order):
             raise IndexError(f"element index out of range in multiply({i}, {k})")
-        x = self._products[i]
-        return i ^ sum([1 << (x[2 * t] >> 1) for t in range(self.rank) if k >> t & 1])
+        step = self.step
+        return i ^ sum([step(i, t) ^ i for t in range(self.rank) if k >> t & 1])
 
 
 def generate_group(g: DecoratedGraph) -> CubeGroup:
     """Breadth-first closure of the generator matrices, numbered by cube vertex.
 
-    The closure multiplies the matrices' images of the 2n points +-e_t, one
-    `itemgetter` call per product, and stores each product at its cube
-    vertex (`_vertex_closure`), which certifies the Cayley graph as the
-    n-cube as it goes, each edge from its lower end (n·2^(n-1) + n products);
-    the group keeps them, and `CubeGroup.elements` decodes them on first
-    access.  An admissible graph always generates a cube group, so a closure
-    that is not one raises
-    InternalConsistencyError with the closure's reason.  The rank is bounded
-    before the admissibility check, whose cost is cubic in it.
+    `_vertex_closure` multiplies the matrices' images of the 2n points +-e_t,
+    one `itemgetter` call per product, each edge from its lower end
+    (n·2^(n-1) + n products), and certifies the Cayley graph as the n-cube
+    as it goes; the group keeps the products.  The rank is bounded first.
+
+    The closure decides admissibility too.  Seed (s1, s2) gives
+    s3 = j_{s2}(s1) and s4 = j_{s3}(s2); layer-2 vertex {s2, s3} receives
+    rho_{s2}·rho_{s1} (from {s2}) and rho_{s3}·rho_{s4} (from {s3}).  These
+    agree only if the seed's holonomy is trivial, which on every seed gives
+    4-periodicity: a closure that succeeds has checked admissibility, and an
+    inadmissible graph is refused within layer 1, n(n+1) products.  Only then
+    does `require_admissible` run, raising NotAdmissibleError with the failing
+    seeds; an admissible graph refused raises InternalConsistencyError.
     """
     n = g.rank
     check_rank(n, RANK_CAP)
-    require_admissible(g)
     rights = [itemgetter(*generator_rho(g, s).point_images()) for s in g.labels]
     try:
-        elements = _vertex_closure(g, rights, tuple(range(2 * n)), associative=True)
+        return CubeGroup(g, _vertex_closure(g, rights, tuple(range(2 * n)), associative=True))
     except NotACubeGroupError as exc:
-        raise InternalConsistencyError(
-            f"an admissible graph did not generate a cube group: {exc.reason}"
-        ) from exc
-    return CubeGroup(g, elements)
+        refusal = exc
+    require_admissible(g)
+    raise InternalConsistencyError(
+        f"an admissible graph did not generate a cube group: {refusal.reason}"
+    ) from refusal
 
 
 def _vertex_closure(g: DecoratedGraph, rights, ident, *, associative=False):
@@ -340,10 +341,11 @@ def _closure(generators, labels, rights, *, associative=False):
     In a cube group, rho_s * rho_t (t != s) sits at the vertex {s, j_s(t)},
     and an element is fixed by its vertex.  So the n(n-1) products fall into
     pairs of equal ones with distinct first letters s and u, and then
-    j_s(t) = u.  The graph read must be admissible; the closure then
-    certifies its Cayley graph as the n-cube.  Raises NotACubeGroupError
-    otherwise, after at most n·2^n + n(n-1) + 2n + 1 products, n·2^n
-    replaced by n·2^(n-1) + n when the rights are ``associative``.
+    j_s(t) = u.  The graph read must be admissible, checked first, as a
+    caller's oracle need not be a group (`generate_group` leaves it to the
+    closure); the closure then certifies its Cayley graph as the n-cube.
+    Raises NotACubeGroupError otherwise, after at most n·2^n + n(n-1) + 2n + 1
+    products, n·2^n replaced by n·2^(n-1) + n when the rights are ``associative``.
     """
     if len(set(generators)) != len(generators):
         raise NotACubeGroupError("generators are not pairwise distinct")

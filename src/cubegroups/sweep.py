@@ -12,9 +12,8 @@ oracle.  The sweep runs group generation, orbit, normal-form and sign-formula
 checks on every admissible graph and aggregates failures (expected: none).
 Graphs are built without re-validation: the label set is validated once,
 and each involution fixes its own label by construction.  Group
-generation certifies the cube group as it closes it: each product must be
-the element at the cube vertex read from its left factor, and the 2^n
-vertices must hold distinct elements.  The sign-formula check
+generation certifies the cube group, and so admissibility, as it closes it:
+no graph meets a second admissibility pass.  The sign-formula check
 (`rep.sign_formula_mismatches`) steps along the point-image tuples that
 closure checked and kept: one step per element and letter proves, by
 induction on word length, that the formula equals the matrix fold on every
@@ -39,8 +38,7 @@ from .graphs import admissible_quick  # noqa: F401
 from .group import word_matrix  # noqa: F401
 from .rep import is_reducible, rho_via_formula  # noqa: F401
 
-# Bound once: perfbench/layers.py replaces the name DecoratedGraph here with a
-# plain function during a traced run.
+# Bound once: a traced perfbench/layers.py run replaces the name DecoratedGraph here.
 _trusted_graph = DecoratedGraph._trusted
 
 RANK_CAP = 5
@@ -145,14 +143,14 @@ def verify_graph(g: DecoratedGraph) -> list[tuple[str, str]]:
     """Run the full battery on one admissible graph; returns (check, detail)
     failures, empty on success.
 
-    The sweep's search decides admissibility and `generate_group` checks it
-    again; the top orbits are computed once, for the orbit tree too.  A graph
-    of rank >= 2 whose label action has a single orbit is reported as
-    ``("reducible", "single orbit")``: it has no orbit tree, so its normal
-    forms are not checked.  The sign-formula check compares the closed
-    formula with the matrix fold on every word of every length, by induction
-    over the group's right multiplication; each mismatch is reported as
-    ``("sign-formula", "word (...)")``.
+    The sweep's search decides admissibility, and `generate_group`'s closure
+    confirms it with no second pass; the top orbits are computed once, for
+    the orbit tree too.  A graph of rank >= 2 whose label action has a single
+    orbit is reported as ``("reducible", "single orbit")``: it has no orbit
+    tree, so its normal forms are not checked.  The sign-formula check
+    compares the closed formula with the matrix fold on every word of every
+    length, by induction over the group's right multiplication; each
+    mismatch is reported as ``("sign-formula", "word (...)")``.
     """
     failures = []
     n = g.rank

@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -133,6 +134,13 @@ class TestGroup:
         assert captured.out == ""
         assert captured.err == (
             "error[internal]: an admissible graph did not generate a cube group\n")
+
+    def test_not_admissible_exits_one(self, bad_file, capsys):
+        assert main(["group", bad_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error[NotAdmissible]: decorated graph is not admissible"
+                                " (failure kinds: NotFourPeriodic)\n")
 
     def test_rank5(self, rank5_file, capsys):
         assert main(["group", rank5_file]) == 0
@@ -355,6 +363,21 @@ def test_cli_import_loads_no_process_machinery():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, timeout=60)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("doc, code, first", [(D4_DOC, 0, "admissible"),
+                                              (BAD_DOC, 1, "not admissible")])
+def test_module_run_exits_through_entrypoint(tmp_path, doc, code, first):
+    """`python -m cubegroups.cli` calls `entrypoint`, which exits with main's code."""
+    path = tmp_path / "graph.dg"
+    path.write_text(doc)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "cubegroups.cli", "check", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code
+    assert proc.stdout.splitlines()[0] == first
 
 
 def test_readme_cli_block_names_every_subcommand():

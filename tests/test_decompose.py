@@ -314,7 +314,7 @@ class TestNormalFormAgainstFolds:
                 if collision is None:
                     nf = normal_form(G, ordering)
                     for b, (bits, elem) in enumerate(to_element.items()):
-                        assert G.elements[nf.vertices[b]] is elem
+                        assert G.elements[nf.vertices[b]] == elem
                         assert nf.codes[elem.index] == b
                         assert nf.bits_for(elem) == bits
                         assert nf.word_for(elem) == tuple(s for s, m in zip(ordering, bits) if m)

@@ -7,11 +7,12 @@ from operator import itemgetter
 
 import pytest
 
-from cubegroups import cli, group
+from cubegroups import cli, graphs, group
 from cubegroups.decompose import decomposition_ordering, normal_form, orbit_tree
 from cubegroups.errors import (
     CubeGroupError,
     DuplicateLabelError,
+    InternalConsistencyError,
     NotACubeGroupError,
     NotAdmissibleError,
     NotInvolutionError,
@@ -29,6 +30,7 @@ from cubegroups.graphs import (
     trajectory,
 )
 from cubegroups.group import (
+    GroupElement,
     LabeledGraph,
     decorated_graph_from_group,
     generate_group,
@@ -267,12 +269,47 @@ class TestGenerateGroup:
             generate_group(bad_rank3)
 
     def test_rank_cap_before_the_admissibility_check(self, monkeypatch):
-        def fail(g):
-            raise AssertionError("the rank must be bounded before the admissibility check")
+        def fail(*args, **kwargs):
+            raise AssertionError("the rank must be bounded before the closure")
 
         monkeypatch.setattr(group, "require_admissible", fail)
+        monkeypatch.setattr(group, "_vertex_closure", fail)
         with pytest.raises(RankCapExceededError, match="^rank 21 exceeds cap 20$"):
             generate_group(graph_from([f"s{i}" for i in range(21)]))
+
+    def test_admissible_graph_whose_closure_fails(self, d4, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise NotACubeGroupError("two vertices hold the same element")
+
+        monkeypatch.setattr(group, "_vertex_closure", refuse)
+        with pytest.raises(InternalConsistencyError) as exc:
+            generate_group(d4)
+        assert str(exc.value) == ("an admissible graph did not generate a cube group:"
+                                  " two vertices hold the same element")
+        assert isinstance(exc.value.__cause__, NotACubeGroupError)
+
+    def test_a_build_runs_no_admissibility_pass(self, rank12_union, bad_rank3, monkeypatch):
+        """The closure certifies a built group's graph as admissible: the
+        admissibility core runs only to name a refused graph's failing
+        seeds.  The sweep's search binds the core under its own name, so its
+        calls are not counted here."""
+        passes = []
+        failing_seeds = graphs._failing_seeds
+
+        def counting(labels, inv, *args):
+            passes.append(labels)
+            return failing_seeds(labels, inv, *args)
+
+        monkeypatch.setattr(graphs, "_failing_seeds", counting)
+        G = generate_group(rank12_union)
+        for subset in ("abcde", "fgh", "abcdeijkl"):
+            assert standard_subgroup(G, subset).order == 2 ** len(subset)
+        report = sweep(5)
+        assert report.ok and report.verified_count == 236
+        assert passes == []
+        with pytest.raises(NotAdmissibleError):
+            generate_group(bad_rank3)
+        assert passes == [bad_rank3.labels]
 
     def test_identity_vertex_subset_empty(self, d4):
         G = generate_group(d4)
@@ -383,6 +420,21 @@ class TestElementsOnDemand:
             assert G.multiply(i, k) == j
         assert sign_formula_mismatches(G) == []
         assert decoded == []
+
+    def test_element_for_matrix_decodes_nothing(self, rank12_union, decoded):
+        G = generate_group(rank12_union)
+        rng = random.Random(5)
+        sample = [0, 4095] + [rng.randrange(4096) for _ in range(100)]
+        matrices = [word_matrix(rank12_union, G.word(i)) for i in sample]
+        found = [G.element_for_matrix(m) for m in matrices]
+        assert found == [GroupElement(i, m) for i, m in zip(sample, matrices)]
+        # diag(-1, 1, ..., 1) is not in the group (rho_a moves b), so neither is its product
+        outside = SignedPermutation(rank12_union.labels, range(12), (-1,) + (1,) * 11)
+        outside = outside.compose(matrices[2])
+        with pytest.raises(KeyError):
+            G.element_for_matrix(outside)
+        assert decoded == []
+        assert found == [G.elements[i] for i in sample]
 
     def test_first_access_decodes_each_element_once(self, rank12_union, decoded):
         G = generate_group(rank12_union)
@@ -1031,21 +1083,47 @@ class TestVertexClosure:
             checked[g.rank] += 1
         assert checked == {1: 1, 2: 1, 3: 4, 4: 22, 5: 236, 8: 1, 12: 1}
 
-    def test_closes_exactly_the_admissible_graphs(self):
+    def test_closes_exactly_the_admissible_graphs(self, monkeypatch):
         """Both directions of the central theorem at ranks 2-4: the generator
         matrices of every decorated graph, closed as `generate_group` closes
         them, form a cube group exactly when the graph is admissible.  Rank 1
-        is left out, as `itemgetter` of one point returns a bare int."""
+        is left out, as `itemgetter` of one point returns a bare int.
+
+        So `generate_group` builds exactly the admissible graphs, and refuses
+        every other one on the closure's layer 1, within n(n+1) products,
+        with the report of `is_admissible` and no closure error chained on."""
+        products = Counter()
+
+        def counting_itemgetter(*items):
+            get = itemgetter(*items)
+
+            def call(m):
+                products["made"] += 1
+                return get(m)
+
+            return call
+
+        monkeypatch.setattr(group, "itemgetter", counting_itemgetter)
         outcomes = Counter()
         for rank in (2, 3, 4):
             for g in enumerate_decorated_graphs(rank):
+                report = is_admissible(g)
                 rights = [itemgetter(*generator_rho(g, s).point_images()) for s in g.labels]
                 try:
                     group._vertex_closure(g, rights, tuple(range(2 * rank)), associative=True)
                     closed = True
                 except NotACubeGroupError:
                     closed = False
-                assert closed == is_admissible(g).admissible, g
+                assert closed == report.admissible, g
+                products.clear()
+                try:
+                    assert generate_group(g).order == 2 ** rank
+                except NotAdmissibleError as exc:
+                    assert exc.report == report and not closed, g
+                    assert products["made"] <= rank * (rank + 1), g
+                    assert exc.__cause__ is None and exc.__context__ is None
+                else:
+                    assert closed, g
                 outcomes[closed] += 1
         assert outcomes == {False: 238, True: 27}
 

@@ -81,6 +81,18 @@ class TestSignCount:
         assert sc == sign_count(d4, ("a", "a"), "a")
         assert sc.word == ("a", "a") and sc.count == 2
 
+    def test_sign_is_the_formula_matrix_sign(self, rank5):
+        # the parity is the contract: SignCount.sign is the matrix's sign of e_t
+        rng = random.Random(13)
+        signs = set()
+        for _ in range(60):
+            word = tuple(rng.choice(rank5.labels) for _ in range(rng.randint(0, 12)))
+            m = rho_via_formula(rank5, word)
+            for t in rank5.labels:
+                assert sign_count(rank5, word, t).sign == m.sign_of(t)
+                signs.add(m.sign_of(t))
+        assert signs == {-1, 1}
+
     def test_first_unknown_letter_is_reported(self, d4):
         with pytest.raises(UnknownLabelError) as exc:
             sign_count(d4, iter(["a", "y", "z"]), "b")

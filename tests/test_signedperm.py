@@ -4,7 +4,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from cubegroups.errors import DuplicateLabelError, LabelSetMismatchError
+from cubegroups.errors import DuplicateLabelError, LabelSetMismatchError, UnknownLabelError
 from cubegroups.group import generator_rho
 from cubegroups.signedperm import Perm, SignedPermutation
 
@@ -207,6 +207,15 @@ def test_d4_compose_example(d4):
     oracle = matmul(generator_rho(d4, "a").as_matrix(), generator_rho(d4, "b").as_matrix())
     assert m.as_matrix() == oracle
     assert [row[LABELS.index("b")] for row in oracle] == [0, 0, -1]
+
+
+@pytest.mark.parametrize("label", ["d", "ab", ""])
+def test_unknown_label_lookups(d4, label):
+    m = generator_rho(d4, "a")
+    for lookup in (m.image_label, m.sign_of):
+        with pytest.raises(UnknownLabelError) as exc:
+            lookup(label)
+        assert exc.value.label == label
 
 
 def test_apply_to_vector(d4):
