@@ -5,7 +5,7 @@ matrices (signed permutations) generate a group of order 2^n whose labeled
 Cayley graph is the n-cube.  The group acts simply transitively on the
 cube's vertices, so `_vertex_closure`, the one closure both build paths run,
 numbers each element by its cube vertex (the bitmask of the coordinates it
-negates) and certifies the cube as it runs, for `generate_group` deciding
+negates) and certifies the cube as it runs, on both paths deciding
 admissibility too.  Any product is then a formula on the kept point-image
 tuples (`CubeGroup.step`, `CubeGroup.multiply`), not a table.  The reverse
 construction first reads the graph off the products of two generators:
@@ -22,7 +22,6 @@ from operator import itemgetter
 from .errors import (
     InternalConsistencyError,
     NotACubeGroupError,
-    NotAdmissibleError,
     NotInvolutionError,
     NotStandardError,
     UnknownLabelError,
@@ -269,11 +268,10 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     does `require_admissible` run, raising NotAdmissibleError with the failing
     seeds; an admissible graph refused raises InternalConsistencyError.
     """
-    n = g.rank
-    check_rank(n, RANK_CAP)
-    rights = [itemgetter(*generator_rho(g, s).point_images()) for s in g.labels]
+    check_rank(g.rank, RANK_CAP)
+    images = [generator_rho(g, s).point_images() for s in g.labels]
     try:
-        return CubeGroup(g, _vertex_closure(g, rights, tuple(range(2 * n)), associative=True))
+        return CubeGroup(g, _vertex_closure(g, images))
     except NotACubeGroupError as exc:
         refusal = exc
     require_admissible(g)
@@ -282,30 +280,31 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     ) from refusal
 
 
-def _vertex_closure(g: DecoratedGraph, rights, ident, *, associative=False):
+def _vertex_closure(g: DecoratedGraph, images):
     """Breadth-first closure of the group of graph g, stored by cube vertex.
 
-    ``rights[k](x)`` is the product ``x * rho_k`` (k indexes g's labels) and
-    ``ident`` is the identity.  Returns the elements, ``elements[c]`` being
-    the element at vertex mask c.  If x sits at mask c with permutation part
-    p, then x * rho_k sits at ``c ^ (1 << p(k))``, as rho_k negates only
-    e_k, and has permutation part p∘j_k.  Each vertex's p is set on its
-    first visit, as the bits ``1 << p(t)`` in label order, and dropped once
-    the vertex is processed.
+    ``images[k]`` is the image tuple of rho_k, a permutation of degree d >= 2
+    (k indexes g's labels): x * rho_k is ``itemgetter(*images[k])(x)`` and the
+    identity is ``tuple(range(d))``.  Returns the elements, ``elements[c]``
+    being the element at vertex mask c.  If x sits at mask c with permutation
+    part p, then x * rho_k sits at ``c ^ (1 << p(k))``, as rho_k negates only
+    e_k, and has permutation part p∘j_k.  Each vertex's p is set on its first
+    visit, as the bits ``1 << p(t)`` in label order, and dropped once the
+    vertex is processed.
 
     Raises NotACubeGroupError when a product is not the element already at
     its vertex, or when two vertices hold the same element.  Both checks
     passed certify the Cayley graph as the n-cube with the masks as
     coordinates: each generator flips one bit, the bits p(k) at a vertex are
     distinct (p is a permutation), and masks map one-to-one onto elements.
-    With ``associative`` (the rights compose tuples) only each edge's lower
-    end and the n squares at layer 1 are multiplied: x * rho_k * rho_k = x
-    once rho_k^2 = 1, and distinct elements keep a vertex's down labels
-    apart.  A magma can pass the lower ends alone, so an oracle keeps both.
+    Only each edge's lower end and the n squares at layer 1 are multiplied:
+    tuples compose associatively, so x * rho_k * rho_k = x once rho_k^2 = 1,
+    and distinct elements keep a vertex's down labels apart.
     """
     n, labels, compose_js = g.rank, g.labels, j_getters(g)
+    rights = [itemgetter(*x) for x in images]
     elements = [None] * (1 << n)
-    elements[0] = ident
+    elements[0] = tuple(range(len(images[0])))
     bits = [None] * (1 << n)  # vertex -> (1 << p(t) for t), from first visit to processing
     bits[0] = tuple(1 << k for k in range(n))
     queue = [0]
@@ -313,7 +312,7 @@ def _vertex_closure(g: DecoratedGraph, rights, ident, *, associative=False):
         m, p = elements[c], bits[c]
         bits[c] = None
         for s, right, compose_j, b in zip(labels, rights, compose_js, p):
-            if associative and c & b and c != b:  # a down edge, checked from below
+            if c & b and c != b:  # a down edge, checked from below
                 continue
             x = right(m)
             v = c ^ b
@@ -330,30 +329,25 @@ def _vertex_closure(g: DecoratedGraph, rights, ident, *, associative=False):
     return elements
 
 
-def _closure(generators, labels, rights, *, associative=False):
-    """Read the decorated graph of n >= 1 labeled involutive generators off
-    their products of two, then close them with `_vertex_closure`.
-
-    ``rights[k](m)`` is the product ``m * generators[k]``; `generators` are
-    hashable values, and the identity is the square of the first one.
-    Returns ``(elements, graph)``: the elements by cube vertex and the graph.
+def _closure(generators, labels):
+    """Read the decorated graph of n >= 1 labeled involutive generators, the
+    image tuples of permutations of one degree d >= 2, off their products of
+    two, then close them with `_vertex_closure`.  Returns ``(elements, graph)``.
 
     In a cube group, rho_s * rho_t (t != s) sits at the vertex {s, j_s(t)},
     and an element is fixed by its vertex.  So the n(n-1) products fall into
-    pairs of equal ones with distinct first letters s and u, and then
-    j_s(t) = u.  The graph read must be admissible, checked first, as a
-    caller's oracle need not be a group (`generate_group` leaves it to the
-    closure); the closure then certifies its Cayley graph as the n-cube.
-    Raises NotACubeGroupError otherwise, after at most n·2^n + n(n-1) + 2n + 1
-    products, n·2^n replaced by n·2^(n-1) + n when the rights are ``associative``.
+    pairs of equal ones, whose first letters s and u differ by cancellation,
+    and then j_s(t) = u.  A closure that succeeds has certified a cube
+    group, whose decorated graph, the one read, is admissible by the paper's
+    theorem, so admissibility is left to it.  Raises NotACubeGroupError
+    otherwise, after at most the n squares, the n(n-1) products of two and
+    the closure's n·2^(n-1) + n.
     """
     if len(set(generators)) != len(generators):
         raise NotACubeGroupError("generators are not pairwise distinct")
-    ident = rights[0](generators[0])
+    ident = tuple(range(len(generators[0])))
+    rights = [itemgetter(*x) for x in generators]
     for s, gen, right in zip(labels, generators, rights):
-        # an oracle that rejects mixed operands raises here (Perm: degree mismatch)
-        if right(ident) != gen:
-            raise NotACubeGroupError(f"the square of {labels[0]!r} is not an identity for {s!r}")
         if right(gen) != ident or gen == ident:
             raise NotInvolutionError(s)
     layer2 = {}  # product -> the (s, t) of each rho_s * rho_t equal to it
@@ -363,7 +357,7 @@ def _closure(generators, labels, rights, *, associative=False):
                 layer2.setdefault(right(gen), []).append((s, t))
     involutions = {s: {s: s} for s in labels}
     for pair in layer2.values():
-        if len(pair) != 2 or pair[0][0] == pair[1][0]:
+        if len(pair) != 2:
             raise NotACubeGroupError("the product of {!r} and {!r} is not on the cube's"
                                      " second layer".format(*pair[0]))
         (s, t), (u, w) = pair
@@ -371,39 +365,20 @@ def _closure(generators, labels, rights, *, associative=False):
         involutions[u][w] = s
     try:
         graph = DecoratedGraph(labels, involutions)
-        require_admissible(graph)
     except ValueError as exc:
         raise NotACubeGroupError(f"extracted {exc}") from exc
-    except NotAdmissibleError as exc:
-        reason = ", ".join(f"{f.seed}:{f.kind}" for f in exc.report.failures)
-        raise NotACubeGroupError(
-            f"extracted decorated graph is not admissible ({reason})"
-        ) from exc
-    return _vertex_closure(graph, rights, ident, associative=associative), graph
+    return _vertex_closure(graph, generators), graph
 
 
-def _times(a, b):
-    return a * b
+def decorated_graph_from_group(generators, labels) -> DecoratedGraph:
+    """Extract the decorated graph from involutive `Perm` generators of a cube group.
 
-
-def decorated_graph_from_group(generators, labels, mul=_times) -> DecoratedGraph:
-    """Extract the decorated graph from involutive generators of a cube group.
-
-    Works with any multiplication oracle over hashable, equality-comparable
-    elements.  A rank (the number of labels) outside 1 to RANK_CAP, a bad
-    label or a repeated one is rejected before any product is made.
-    `_closure` reads the graph off the generators' products of two and
-    certifies it by closing the group by cube vertex; for a group each map
-    read is an involution, and for another oracle a map that is not, or a
-    graph that is not admissible, raises NotACubeGroupError.
-
-    `Perm` generators of one degree n >= 2 under the default `mul` are closed
-    on their image tuples, one `itemgetter` call per product, as
-    (m * g)(q) = m(g(q)), each edge from its lower end only; the outcome is
-    the same, as `_closure` names elements only by label and vertex.  Every
-    other input keeps the generic oracle, which is what `_closure`'s checks
-    are written against: `Perm`'s own product reports mixed degrees, and at
-    degree 0 or 1 `itemgetter` would not return a tuple.
+    The generators are `Perm`s of one degree d >= 2 (by Cayley's theorem any
+    finite group has such generators).  Refused before any product: a rank
+    (the number of labels) outside 1 to RANK_CAP, a bad or repeated label, a
+    non-`Perm` (TypeError), degree 0 or 1 (NotInvolutionError: the identity)
+    and mixed degrees (ValueError).  `_closure` then reads the graph off the
+    products of two and closes the group on the image tuples, which certifies it.
     """
     labels = tuple(labels)
     generators = list(generators)
@@ -411,14 +386,16 @@ def decorated_graph_from_group(generators, labels, mul=_times) -> DecoratedGraph
         raise ValueError("one generator per label required")
     check_rank(len(labels), RANK_CAP)
     validate_labels(labels)
-    tuples = (mul is _times and all(type(x) is Perm for x in generators)
-              and len({len(x.images) for x in generators}) == 1 and len(generators[0].images) > 1)
-    if tuples:
-        generators = [x.images for x in generators]
-        rights = [itemgetter(*x) for x in generators]
-    else:
-        rights = [lambda m, g=g: mul(m, g) for g in generators]
-    _, graph = _closure(generators, labels, rights, associative=tuples)
+    for s, x in zip(labels, generators):
+        if type(x) is not Perm:
+            raise TypeError(f"the generator for {s!r} is not a Perm: {x!r}")
+    degree = len(generators[0].images)
+    if degree < 2:
+        raise NotInvolutionError(labels[0])
+    for x in generators:
+        if len(x.images) != degree:
+            raise ValueError(f"degree mismatch: {degree} vs {len(x.images)}")
+    _, graph = _closure([x.images for x in generators], labels)
     return graph
 
 

@@ -460,6 +460,25 @@ class TestElementsOnDemand:
                 assert e.matrix == word_matrix(G.graph, G.word(i))
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """The products the closures make, by the length of the tuple multiplied:
+    each is one call of a getter that `group.itemgetter` returns."""
+    made = Counter()
+
+    def counting_itemgetter(*items):
+        get = itemgetter(*items)
+
+        def call(m):
+            made[len(items)] += 1
+            return get(m)
+
+        return call
+
+    monkeypatch.setattr(group, "itemgetter", counting_itemgetter)
+    return made
+
+
 def rank5_plus_d4(rank5):
     """The rank-5 fixture plus a disjoint D4: j_s is the identity outside
     the component of s, so the union is admissible."""
@@ -526,11 +545,11 @@ def reference_closure(generators, labels, rights):
     return elements, step, [cube.coords[i] for i in range(order)]
 
 
-def reference_graph_from_group(generators, labels, mul=lambda a, b: a * b):
+def reference_graph_from_group(generators, labels):
     """Oracle for `decorated_graph_from_group`: close the generators with
     `reference_closure`, then read j_s(t) as the label of the bit that letter
     t flips at the vertex of rho_s, and require the graph to be admissible."""
-    rights = [lambda m, g=g: mul(m, g) for g in generators]
+    rights = [lambda m, g=g: m * g for g in generators]
     _, step, coords = reference_closure(generators, labels, rights)
     axis = {1 << k: s for k, s in enumerate(labels)}
     involutions = {s: {t: axis[coords[y] ^ coords[x]] for t, y in zip(labels, step[x])}
@@ -685,7 +704,7 @@ class TestStandardSubgroup:
                 for T in itertools.combinations(g.labels, size):
                     try:
                         expected = decorated_graph_from_group(
-                            [generator_rho(g, t) for t in T], T, SignedPermutation.compose)
+                            [Perm(generator_rho(g, t).point_images()) for t in T], T)
                     except NotACubeGroupError:
                         expected = None
                     try:
@@ -732,26 +751,8 @@ class TestDecoratedGraphFromGroup:
             decorated_graph_from_group(gens, ("a", "b"))
         assert "the product of 'a' and 'b' is not on the cube's second layer" in str(exc.value)
 
-    def test_oracle_whose_graph_fails_holonomy(self):
-        # Not a group: the product of labels s != t is the token {s, j_s(t)},
-        # so the second layer reads back j_c = (b d), j_d = (a b), which is
-        # 4-periodic but fails holonomy.  For a group the pairing forces
-        # 4-periodicity; an arbitrary oracle is not held to that.
-        j = {"a": {}, "b": {}, "c": {"b": "d", "d": "b"}, "d": {"a": "b", "b": "a"}}
-
-        def mul(x, y):
-            if x == "e":
-                return y
-            return "e" if x == y else frozenset({x, j[x].get(y, y)})
-
-        with pytest.raises(NotACubeGroupError) as exc:
-            decorated_graph_from_group(list("abcd"), tuple("abcd"), mul)
-        assert exc.value.reason == (
-            "extracted decorated graph is not admissible (('b', 'c'):Holonomy,"
-            " ('c', 'b'):Holonomy, ('c', 'd'):Holonomy, ('d', 'c'):Holonomy)")
-
     @pytest.mark.parametrize("m", [5, 6, 7, 8])
-    def test_closure_stops_past_two_to_the_n(self, m):
+    def test_closure_stops_past_two_to_the_n(self, m, products):
         # two reflections of the m-gon (their product is an m-cycle) and the
         # transposition (0 1) generate the symmetric group S_m
         gens = [
@@ -759,19 +760,12 @@ class TestDecoratedGraphFromGroup:
             Perm(tuple((1 - i) % m for i in range(m))),
             Perm.from_cycles(m, [(0, 1)]),
         ]
-        products = 0
-
-        def mul(x, y):
-            nonlocal products
-            products += 1
-            return x * y
-
-        # rejected on the products of two, before any closure
+        # rejected on the n squares and the n(n-1) products of two, before any closure
         with pytest.raises(NotACubeGroupError, match="the product of 'a' and 'b' is not on the"
                            " cube's second layer"):
-            decorated_graph_from_group(gens, ("a", "b", "c"), mul)
+            decorated_graph_from_group(gens, ("a", "b", "c"))
         n = 3
-        assert products == n * (n - 1) + 2 * n + 1
+        assert products == {m: n + n * (n - 1)}
 
     def test_closure_short_of_two_to_the_n(self):
         # three distinct involutions of the Klein four-group close up at 4 < 2^3:
@@ -784,33 +778,23 @@ class TestDecoratedGraphFromGroup:
         with pytest.raises(NotACubeGroupError, match="two vertices hold the same element"):
             decorated_graph_from_group(gens, ("a", "b", "c"))
 
-    def test_rank_cap_before_any_product(self):
-        def mul(x, y):
-            raise AssertionError("no product may be made past the rank cap")
-
+    def test_rank_cap_before_any_product(self, products):
         labels = tuple("abcdefghijklmnopqrstu")
+        gens = [Perm.from_cycles(2 * len(labels), [(2 * k, 2 * k + 1)]) for k in range(len(labels))]
         with pytest.raises(RankCapExceededError, match="^rank 21 exceeds cap 20$"):
-            decorated_graph_from_group(range(len(labels)), labels, mul)
+            decorated_graph_from_group(gens, labels)
+        assert products == {}
 
-    def test_repeated_label_before_any_product(self):
-        products = 0
-
-        def mul(x, y):
-            nonlocal products
-            products += 1
-            return x * y
-
+    def test_repeated_label_before_any_product(self, products):
         gens = [Perm((1, 0, 2, 3)), Perm((0, 1, 3, 2))]
         with pytest.raises(DuplicateLabelError, match="'a'"):
-            decorated_graph_from_group(gens, ("a", "a"), mul)
-        assert products == 0
+            decorated_graph_from_group(gens, ("a", "a"))
+        assert products == {}
 
-    def test_bad_label_before_any_product(self):
-        def mul(x, y):
-            raise AssertionError("no product may be made for a bad label")
-
+    def test_bad_label_before_any_product(self, products):
         with pytest.raises(ValueError, match="bad label"):
-            decorated_graph_from_group([1, 2], ("a", "b c"), mul)
+            decorated_graph_from_group([Perm((1, 0, 2, 3)), Perm((0, 1, 3, 2))], ("a", "b c"))
+        assert products == {}
 
     def test_no_generators(self):
         with pytest.raises(RankTooSmallError, match="^rank 0 too small; need at least 1$"):
@@ -821,22 +805,15 @@ class TestDecoratedGraphFromGroup:
         ("a", "a"), ("a", "b", "a"),  # repeated
         ("a", "a", "b c"), ("a", "b c", "b c"), ("a:", "a:"),  # both: the first fault wins
     ])
-    def test_bad_label_list_fails_as_in_the_graph_constructor(self, labels):
-        products = 0
-
-        def mul(x, y):
-            nonlocal products
-            products += 1
-            return x * y
-
+    def test_bad_label_list_fails_as_in_the_graph_constructor(self, labels, products):
         with pytest.raises((ValueError, DuplicateLabelError)) as expected:
             DecoratedGraph(labels, {s: {t: t for t in labels} for s in labels})
         gens = [Perm((1, 0, 2, 3)), Perm((0, 1, 3, 2)), Perm((2, 3, 0, 1))][:len(labels)]
         with pytest.raises(type(expected.value)) as got:
-            decorated_graph_from_group(gens, labels, mul)
+            decorated_graph_from_group(gens, labels)
         assert type(got.value) is type(expected.value)
         assert str(got.value) == str(expected.value)
-        assert products == 0
+        assert products == {}
 
     def test_equal_generators(self):
         gens = [Perm.from_cycles(2, [(0, 1)]), Perm.from_cycles(2, [(0, 1)])]
@@ -848,9 +825,13 @@ class TestDecoratedGraphFromGroup:
             decorated_graph_from_group([Perm.from_cycles(2, [(0, 1)])], ("a", "b"))
 
     def test_rejects_non_involution(self):
-        gens = [Perm.from_cycles(3, [(0, 1)]), Perm((1, 2, 0))]
-        with pytest.raises(NotInvolutionError):
-            decorated_graph_from_group(gens, ("a", "b"))
+        # the first generator is checked as the others are
+        transposition, three_cycle = Perm.from_cycles(3, [(0, 1)]), Perm((1, 2, 0))
+        for gens, label in (([transposition, three_cycle], "b"),
+                            ([three_cycle, transposition], "a")):
+            with pytest.raises(NotInvolutionError) as exc:
+                decorated_graph_from_group(gens, ("a", "b"))
+            assert exc.value.label == label
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_mismatched_degrees(self, swap):
@@ -862,46 +843,6 @@ class TestDecoratedGraphFromGroup:
             degrees = "4 vs 2"
         with pytest.raises(ValueError, match=f"degree mismatch: {degrees}"):
             decorated_graph_from_group(gens, ("a", "b"))
-
-    def test_first_square_not_an_identity(self):
-        # an oracle that pads mixed degrees multiplies them without error
-        def padded(x, y):
-            n = max(len(x), len(y))
-            x, y = (t + tuple(range(len(t), n)) for t in (x, y))
-            return tuple(x[i] for i in y)
-
-        with pytest.raises(NotACubeGroupError, match="square of 'a' is not an identity for 'b'"):
-            decorated_graph_from_group([(0, 1, 3, 2), (1, 0)], ("a", "b"), padded)
-
-    @pytest.mark.parametrize("product, reason", [
-        # 3·a = 0, but 0·a = 1
-        ((3, 1, 0), "the product of element 3 by 'a' is not element 2, the one at its vertex"),
-        # 3·b = 3
-        ((3, 2, 3), "the product of element 3 by 'b' is not element 1, the one at its vertex"),
-    ], ids=["not-involutive", "fixed-point"])
-    def test_right_multiplication_must_pair_the_elements(self, product, reason):
-        # A magma on {0, 1, 2, 3} that agrees with the Klein group except at
-        # one product; read from the lower endpoints alone its Cayley graph
-        # would still be a square, and its products of two are the Klein
-        # group's.
-        table = {(0, 1): 1, (0, 2): 2, (1, 1): 0, (1, 2): 3, (2, 1): 3, (2, 2): 0,
-                 (3, 1): 2, (3, 2): 1}
-        x, y, z = product
-        table[x, y] = z
-        with pytest.raises(NotACubeGroupError, match=reason):
-            decorated_graph_from_group([1, 2], ("a", "b"), lambda u, v: table[u, v])
-
-    def test_parallel_cayley_edges(self):
-        # Z2^3 numbered in closure order (e, a, b, c, ab, ac, bc, abc), with
-        # the c column replaced: every column still pairs the elements, but
-        # a and c both pair 2 with 4 and 6 with 7
-        columns = {1: [(0, 1), (2, 4), (3, 5), (6, 7)],
-                   2: [(0, 2), (1, 4), (3, 6), (5, 7)],
-                   3: [(0, 3), (1, 5), (2, 4), (6, 7)]}
-        table = {(x, g): y for g, pairs in columns.items() for p in pairs for x, y in (p, p[::-1])}
-        with pytest.raises(NotACubeGroupError, match="the product of 'a' and 'b' is not on the"
-                           " cube's second layer"):
-            decorated_graph_from_group([1, 2, 3], ("a", "b", "c"), lambda u, v: table[u, v])
 
     def test_order_eight_group_whose_cayley_graph_is_not_a_cube(self):
         # (1 3), (1 2)(3 4) and (1 3)(2 4) generate the dihedral group of
@@ -920,45 +861,16 @@ class TestDecoratedGraphFromGroup:
         # the pruned search gives the brute-force admissible graphs (test_sweep)
         for _, g in _admissible_graphs(rank):
             G = generate_group(g)
-            gens = [generator_rho(g, s) for s in g.labels]
-            assert decorated_graph_from_group(
-                gens, g.labels, SignedPermutation.compose
-            ) == g
+            gens = [Perm(generator_rho(g, s).point_images()) for s in g.labels]
+            assert decorated_graph_from_group(gens, g.labels) == g
             assert G.order == 2 ** rank
 
-    def test_round_trip_rank8_union(self, rank5):
+    def test_round_trip_rank8_union(self, rank5, products):
         g = rank5_plus_d4(rank5)
-        gens = [generator_rho(g, s) for s in g.labels]
-        products = 0
-
-        def mul(x, y):
-            nonlocal products
-            products += 1
-            return x.compose(y)
-
-        assert decorated_graph_from_group(gens, g.labels, mul) == g
+        gens = [Perm(generator_rho(g, s).point_images()) for s in g.labels]
+        assert decorated_graph_from_group(gens, g.labels) == g
         n = g.rank
-        assert products <= n * 2 ** n + n * (n - 1) + 2 * n + 1
-        # the same group acting on the 2n points +-e_t
-        perms = [Perm(m.point_images()) for m in gens]
-        assert decorated_graph_from_group(perms, g.labels) == g
-
-    def test_read_map_that_is_not_an_involution(self):
-        # A magma on the 16 vertex masks of the 4-cube: g_k moves x along
-        # the axis at position k of col[x].  Every column pairs the vertices
-        # and the table is the 4-cube, and the products of two pair up, but
-        # at the vertex of g_c the letters read j_c as b -> a -> d.
-        col = {x: [0, 1, 2, 3] for x in range(16)}
-        col.update({x: [1, 3, 2, 0] for x in (4, 5, 12, 13)})
-        col.update({x: [0, 3, 2, 1] for x in (6, 7, 14, 15)})
-        gen_index = {1 << k: k for k in range(4)}
-
-        def mul(x, g):
-            return x ^ (1 << col[x].index(gen_index[g]))
-
-        with pytest.raises(NotACubeGroupError, match=r"map for 'c' is not an involution \(b->a->d\)"):
-            decorated_graph_from_group([1, 2, 4, 8], tuple("abcd"), mul)
-
+        assert products == {2 * n: n * 2 ** (n - 1) + n * (n + 1)}
 
 class TestVertexNumbering:
     """Each element's index is its cube vertex: the bitmask of the
@@ -1075,7 +987,7 @@ class TestVertexClosure:
             points = [generator_rho(g, s).point_images() for s in g.labels]
             rights = [itemgetter(*p) for p in points]
             elements, step, coords = reference_closure(points, g.labels, rights)
-            by_vertex = group._vertex_closure(g, rights, tuple(range(2 * g.rank)))
+            by_vertex = group._vertex_closure(g, points)
             assert [by_vertex[c] for c in coords] == elements
             G = generate_group(g)
             assert [tuple(G.step(c, k) for k in range(g.rank)) for c in coords] == [
@@ -1083,34 +995,24 @@ class TestVertexClosure:
             checked[g.rank] += 1
         assert checked == {1: 1, 2: 1, 3: 4, 4: 22, 5: 236, 8: 1, 12: 1}
 
-    def test_closes_exactly_the_admissible_graphs(self, monkeypatch):
+    def test_closes_exactly_the_admissible_graphs(self, products):
         """Both directions of the central theorem at ranks 2-4: the generator
         matrices of every decorated graph, closed as `generate_group` closes
-        them, form a cube group exactly when the graph is admissible.  Rank 1
-        is left out, as `itemgetter` of one point returns a bare int.
+        them, form a cube group exactly when the graph is admissible.
 
         So `generate_group` builds exactly the admissible graphs, and refuses
         every other one on the closure's layer 1, within n(n+1) products,
-        with the report of `is_admissible` and no closure error chained on."""
-        products = Counter()
-
-        def counting_itemgetter(*items):
-            get = itemgetter(*items)
-
-            def call(m):
-                products["made"] += 1
-                return get(m)
-
-            return call
-
-        monkeypatch.setattr(group, "itemgetter", counting_itemgetter)
+        with the report of `is_admissible` and no closure error chained on.
+        The reverse construction, given the matrices as `Perm`s of the 2n
+        points +-e_t, returns the graph exactly when it is admissible: no
+        up-front admissibility check is needed there either."""
         outcomes = Counter()
         for rank in (2, 3, 4):
             for g in enumerate_decorated_graphs(rank):
                 report = is_admissible(g)
-                rights = [itemgetter(*generator_rho(g, s).point_images()) for s in g.labels]
+                images = [generator_rho(g, s).point_images() for s in g.labels]
                 try:
-                    group._vertex_closure(g, rights, tuple(range(2 * rank)), associative=True)
+                    group._vertex_closure(g, images)
                     closed = True
                 except NotACubeGroupError:
                     closed = False
@@ -1120,57 +1022,47 @@ class TestVertexClosure:
                     assert generate_group(g).order == 2 ** rank
                 except NotAdmissibleError as exc:
                     assert exc.report == report and not closed, g
-                    assert products["made"] <= rank * (rank + 1), g
+                    assert sum(products.values()) <= rank * (rank + 1), g
                     assert exc.__cause__ is None and exc.__context__ is None
                 else:
                     assert closed, g
+                gens = [Perm(x) for x in images]
+                if closed:
+                    assert decorated_graph_from_group(gens, g.labels) == g
+                else:
+                    with pytest.raises(NotACubeGroupError):
+                        decorated_graph_from_group(gens, g.labels)
                 outcomes[closed] += 1
         assert outcomes == {False: 238, True: 27}
 
-    def test_each_build_path_closes_once(self, monkeypatch):
+    def test_each_build_path_closes_once(self, monkeypatch, products):
         closures = []
         vertex_closure = group._vertex_closure
 
-        def counting_closure(*args, **kwargs):
-            closures.append((args[0], kwargs))
-            return vertex_closure(*args, **kwargs)
+        def counting_closure(g, images):
+            closures.append(g)
+            return vertex_closure(g, images)
 
         def forbidden(*args):
             raise AssertionError("generate_group must not run the reverse construction's closure")
 
-        products = Counter()
-
-        def counting_itemgetter(*items):
-            get = itemgetter(*items)
-
-            def call(m):
-                products[len(items)] += 1
-                return get(m)
-
-            return call
-
         monkeypatch.setattr(group, "_vertex_closure", counting_closure)
         with monkeypatch.context() as patched:
             patched.setattr(group, "_closure", forbidden)
-            patched.setattr(group, "itemgetter", counting_itemgetter)
             n = 12
             g = graph_from("abcdefghijkl")
             G = generate_group(g)
         assert G.order == 2 ** n
-        tuples = {"associative": True}
-        assert closures == [(g, tuples)]
+        assert closures == [g]
         # getters of 2n point images are the right multiplications: one per
         # product, each edge from its lower end plus the n squares at layer 1
         assert products == {2 * n: n * 2 ** (n - 1) + n}
         products.clear()
         gens = [Perm(generator_rho(g, s).point_images()) for s in g.labels]
-        with monkeypatch.context() as patched:
-            patched.setattr(group, "itemgetter", counting_itemgetter)
-            assert decorated_graph_from_group(gens, g.labels) == g
-        assert closures == [(g, tuples), (g, tuples)]
-        # the same closure after the identity, the 2n square checks and the
-        # n(n-1) products of two
-        assert products == {2 * n: n * 2 ** (n - 1) + n + n * (n - 1) + 2 * n + 1}
+        assert decorated_graph_from_group(gens, g.labels) == g
+        assert closures == [g, g]
+        # the same closure after the n square checks and the n(n-1) products of two
+        assert products == {2 * n: n * 2 ** (n - 1) + n + n * (n - 1) + n}
 
     def test_product_off_its_predicted_vertex(self, d4):
         # D4's generators with rho_a negating b instead of a: rho_a then
@@ -1178,52 +1070,33 @@ class TestVertexClosure:
         # bit j_a(a) = a, so it is filed at vertex 1 ^ 1 = 0, the identity's
         labels = d4.labels
         negated = {"a": "b", "b": "b", "c": "c"}
-        rights = [
-            itemgetter(*SignedPermutation.from_maps(
+        images = [
+            SignedPermutation.from_maps(
                 labels, d4.involutions[s], {t: -1 if t == negated[s] else 1 for t in labels}
-            ).point_images())
+            ).point_images()
             for s in labels
         ]
-        for associative in (False, True):  # the square is checked on both paths
-            with pytest.raises(NotACubeGroupError, match="the product of element 1 by 'a' is not"
-                               " element 0, the one at its vertex"):
-                group._vertex_closure(d4, rights, tuple(range(6)), associative=associative)
+        with pytest.raises(NotACubeGroupError, match="the product of element 1 by 'a' is not"
+                           " element 0, the one at its vertex"):
+            group._vertex_closure(d4, images)
 
     def test_square_that_is_not_the_identity(self, rank1):
-        # a 4-cycle composes associatively, but its square is not the
-        # identity: the one down edge that even lower ends alone multiply
-        rights = [itemgetter(1, 2, 3, 0)]
-        for associative in (False, True):
-            with pytest.raises(NotACubeGroupError) as exc:
-                group._vertex_closure(rank1, rights, (0, 1, 2, 3), associative=associative)
-            assert exc.value.reason == ("the product of element 1 by 'a' is not element 0,"
-                                        " the one at its vertex")
+        # a 4-cycle's square is not the identity: the one down edge that
+        # the closure multiplies, as a square at layer 1
+        with pytest.raises(NotACubeGroupError) as exc:
+            group._vertex_closure(rank1, [(1, 2, 3, 0)])
+        assert exc.value.reason == ("the product of element 1 by 'a' is not element 0,"
+                                    " the one at its vertex")
 
     def test_two_vertices_hold_one_element(self):
         # three diagonal involutions of a Klein four-group: every product
         # lands where the vertex rule says, but the closure has only 4
         # distinct elements on 8 vertices
         g = graph_from("abc")
-        rights = [itemgetter(*SignedPermutation(g.labels, (0, 1, 2), signs).point_images())
+        images = [SignedPermutation(g.labels, (0, 1, 2), signs).point_images()
                   for signs in ((-1, 1, 1), (1, -1, 1), (-1, -1, 1))]
-        for associative in (False, True):
-            with pytest.raises(NotACubeGroupError, match="two vertices hold the same element"):
-                group._vertex_closure(g, rights, tuple(range(6)), associative=associative)
-
-    def test_lower_ends_alone_close_as_both_ends(self, rank12_union):
-        """On the tuple path the down-edge products follow from the lower
-        ends: every admissible graph at ranks 1-5 and the rank-12 union get
-        the same elements, by vertex, with and without them."""
-        checked = Counter()
-        graphs = [g for rank in range(1, 6) for _, g in _admissible_graphs(rank)]
-        for g in graphs + [rank12_union]:
-            rights = [itemgetter(*generator_rho(g, s).point_images()) for s in g.labels]
-            ident = tuple(range(2 * g.rank))
-            both = group._vertex_closure(g, rights, ident)
-            assert group._vertex_closure(g, rights, ident, associative=True) == both
-            assert len(both) == 2 ** g.rank
-            checked[g.rank] += 1
-        assert checked == {1: 1, 2: 1, 3: 4, 4: 22, 5: 236, 12: 1}
+        with pytest.raises(NotACubeGroupError, match="two vertices hold the same element"):
+            group._vertex_closure(g, images)
 
     @pytest.mark.parametrize("degree, ranks", [(4, range(1, 5)), (5, range(1, 4))])
     def test_every_tuple_of_involutions_matches_the_oracle(self, degree, ranks):
@@ -1243,11 +1116,6 @@ class TestVertexClosure:
         assert (inputs, accepted) == {4: (3609, 105), 5: (14425, 505)}[degree]
 
 
-def _generic(gens, labels):
-    """`decorated_graph_from_group` through the generic oracle, whatever the elements."""
-    return decorated_graph_from_group(gens, labels, lambda a, b: a * b)
-
-
 def _result(build, gens, labels):
     """The graph `build` returns, or the class and message of what it raises."""
     try:
@@ -1257,39 +1125,25 @@ def _result(build, gens, labels):
 
 
 class TestImageTupleClosure:
-    """`Perm` generators of one degree n >= 2 under the default product are
-    closed on their image tuples; the generic oracle is the reference."""
+    """`Perm` generators of one degree n >= 2 are closed on their image
+    tuples; every other input is refused before any product."""
 
-    def test_every_tuple_of_involutions_of_s4(self):
-        identity = Perm.identity(4)
-        involutions = [p for p in map(Perm, itertools.permutations(range(4)))
-                       if p * p == identity != p]
-        inputs = accepted = 0
-        for rank in range(1, 5):
-            labels = tuple("abcd"[:rank])
-            for gens in itertools.permutations(involutions, rank):
-                expected = _result(_generic, gens, labels)
-                assert _result(decorated_graph_from_group, gens, labels) == expected, gens
-                inputs += 1
-                accepted += isinstance(expected, DecoratedGraph)
-        assert (inputs, accepted) == (3609, 105)
+    NOT_INVOLUTION = (NotInvolutionError, "generator 'a' is not a nontrivial involution")
 
-    @pytest.mark.parametrize("gens", [
-        [Perm(())],
-        [Perm((0,))],
-        [Perm((0,)), Perm((1, 0))],
-        [Perm((1, 0)), Perm((0,))],
-        [Perm((1, 0)), Perm((0, 1, 3, 2))],
-        [Perm((0, 1, 3, 2)), Perm((1, 0))],
-        [Perm((1, 0)), (1, 0)],
-        [(1, 0), Perm((1, 0))],
+    @pytest.mark.parametrize("gens, expected", [
+        ([Perm(())], NOT_INVOLUTION),
+        ([Perm((0,))], NOT_INVOLUTION),
+        ([Perm((0,)), Perm((1, 0))], NOT_INVOLUTION),
+        ([Perm((1, 0)), Perm((0,))], (ValueError, "degree mismatch: 2 vs 1")),
+        ([Perm((1, 0)), Perm((0, 1, 3, 2))], (ValueError, "degree mismatch: 2 vs 4")),
+        ([Perm((0, 1, 3, 2)), Perm((1, 0))], (ValueError, "degree mismatch: 4 vs 2")),
+        ([Perm((1, 0)), (1, 0)], (TypeError, "the generator for 'b' is not a Perm: (1, 0)")),
+        ([(1, 0), Perm((1, 0))], (TypeError, "the generator for 'a' is not a Perm: (1, 0)")),
     ], ids=["degree-0", "degree-1", "degrees-1-2", "degrees-2-1", "degrees-2-4",
             "degrees-4-2", "perm-then-tuple", "tuple-then-perm"])
-    def test_inputs_outside_the_tuple_path(self, gens):
-        labels = tuple("ab"[:len(gens)])
-        expected = _result(_generic, gens, labels)
-        assert not isinstance(expected, DecoratedGraph)
-        assert _result(decorated_graph_from_group, gens, labels) == expected
+    def test_inputs_outside_the_tuple_path(self, gens, expected, products):
+        assert _result(decorated_graph_from_group, gens, tuple("ab"[:len(gens)])) == expected
+        assert products == {}
 
     def test_rank8_union_makes_no_perm_product(self, rank5, monkeypatch):
         g = rank5_plus_d4(rank5)
@@ -1301,15 +1155,14 @@ class TestImageTupleClosure:
             products[len(a.images)] += 1
             return perm_product(a, b)
 
-        def counting_closure(*args, **kwargs):
+        def counting_closure(*args):
             closures.append(args[1])
-            return closure(*args, **kwargs)
+            return closure(*args)
 
         monkeypatch.setattr(Perm, "__mul__", counting_product)
         monkeypatch.setattr(group, "_closure", counting_closure)
         assert decorated_graph_from_group(gens, g.labels) == g
         assert (products, closures) == ({}, [g.labels])
-        # the counter sees the products the generic oracle makes
-        assert _generic(gens, g.labels) == g
-        assert products[2 * g.rank] > g.rank * 2 ** g.rank
-        assert closures == [g.labels, g.labels]
+        # the counter sees a Perm product
+        assert gens[0] * gens[0] == Perm.identity(2 * g.rank)
+        assert products == {2 * g.rank: 1}
