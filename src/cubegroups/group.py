@@ -7,10 +7,10 @@ cube's vertices, so `_vertex_closure`, the one closure both build paths run,
 numbers each element by its cube vertex (the bitmask of the coordinates it
 negates) and certifies the cube as it runs, on both paths deciding
 admissibility too.  Any product is then a formula on the kept point-image
-tuples (`CubeGroup.step`, `CubeGroup.multiply`), not a table.  The reverse
-construction first reads the graph off the products of two generators:
-rho_s * rho_t sits at the vertex {s, j_s(t)}, where exactly one other such
-product sits.
+tuples (`CubeGroup.step`, `CubeGroup.multiply`), not a multiplication
+table.  The reverse construction first reads the graph off the products of
+two generators: rho_s * rho_t sits at the vertex {s, j_s(t)}, where exactly
+one other such product sits.
 """
 
 from __future__ import annotations
@@ -157,12 +157,16 @@ class CubeGroup:
     of (1, ..., 1) exactly when bit k of i is set.  Right multiplication,
     the labeled Cayley graph, flips one bit (`step`).  The closure's point-image
     tuples, kept by vertex, serve `step`, `word` and `multiply`; `elements`
-    decodes them into a list of its own on first access.  Equality and repr
-    compare the graph, which fixes the group.
+    decodes them into a list of its own on first access.  Next to them the
+    group keeps the closure's permutation-part id of each vertex and its
+    table, one row of ``(label, getter, 1 << p(k), id of p∘j_k)`` per id, which
+    `cayley` reads.  Equality and repr compare the graph, which fixes the group.
     """
 
     graph: DecoratedGraph
     _products: list = field(repr=False, compare=False)  # the closure's point-image tuples
+    _ids: list = field(repr=False, compare=False)  # vertex -> its permutation-part id
+    _table: list = field(repr=False, compare=False)  # id -> its row in the closure's table
 
     @property
     def rank(self) -> int:
@@ -188,23 +192,21 @@ class CubeGroup:
 
     @property
     def cayley(self) -> LabeledGraph:
-        """The sorted edge list, built on each access.  Label k flips bit p(k) (`step`), so
-        one sort of the labels by bit per distinct p lists each vertex's upper edges.
+        """The sorted edge list, built on each access, decoding nothing.  Label k flips
+        bit p(k) (`step`), so one sort of the labels by bit per permutation-part id,
+        read off the closure's table, lists the upper edges of each vertex with that id.
         Not re-validated: vertex i lists (i, i | b) once per bit b not in i, so no
         edge is parallel, u < v and every endpoint is below 2^n.  The closure
         checked i * rho_k at i ^ (1 << p_i(k)), and rho_k is an involution, so both
         ends give an edge the same label and vertex i has all n, k on bit p_i(k).
         The edges share the vertex tuple's ints."""
-        labels, vertices, by_bit = self.graph.labels, tuple(range(self.order)), {}
-        for e in self.elements:
-            perm = e.matrix.perm
-            if perm not in by_bit:
-                by_bit[perm] = sorted(zip([1 << p for p in perm], labels))
+        vertices = tuple(range(self.order))
+        by_bit = [sorted([(b, s) for s, _, b, _ in row]) for row in self._table]
         lg = object.__new__(_labeled_graph)
         object.__setattr__(lg, "vertices", vertices)
         object.__setattr__(lg, "edges", tuple(
-            (i, vertices[i | b], s) for i, e in zip(vertices, self.elements)
-            for b, s in by_bit[e.matrix.perm] if not i & b))
+            (i, vertices[i | b], s) for i, t in zip(vertices, self._ids)
+            for b, s in by_bit[t] if not i & b))
         return lg
 
     @cached_property
@@ -257,7 +259,8 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     `_vertex_closure` multiplies the matrices' images of the 2n points +-e_t,
     one `itemgetter` call per product, each edge from its lower end
     (n·2^(n-1) + n products), and certifies the Cayley graph as the n-cube
-    as it goes; the group keeps the products.  The rank is bounded first.
+    as it goes; the group keeps the products, each vertex's permutation-part
+    id and the ids' table.  The rank is bounded first.
 
     The closure decides admissibility too.  Seed (s1, s2) gives
     s3 = j_{s2}(s1) and s4 = j_{s3}(s2); layer-2 vertex {s2, s3} receives
@@ -271,7 +274,7 @@ def generate_group(g: DecoratedGraph) -> CubeGroup:
     check_rank(g.rank, RANK_CAP)
     images = [generator_rho(g, s).point_images() for s in g.labels]
     try:
-        return CubeGroup(g, _vertex_closure(g, images))
+        return CubeGroup(g, *_vertex_closure(g, images))
     except NotACubeGroupError as exc:
         refusal = exc
     require_admissible(g)
@@ -285,12 +288,15 @@ def _vertex_closure(g: DecoratedGraph, images):
 
     ``images[k]`` is the image tuple of rho_k, a permutation of degree d >= 2
     (k indexes g's labels): x * rho_k is ``itemgetter(*images[k])(x)`` and the
-    identity is ``tuple(range(d))``.  Returns the elements, ``elements[c]``
-    being the element at vertex mask c.  If x sits at mask c with permutation
+    identity is ``tuple(range(d))``.  If x sits at mask c with permutation
     part p, then x * rho_k sits at ``c ^ (1 << p(k))``, as rho_k negates only
-    e_k, and has permutation part p∘j_k.  Each vertex's p is set on its first
-    visit, as the bits ``1 << p(t)`` in label order, and dropped once the
-    vertex is processed.
+    e_k, and has permutation part p∘j_k.  Each p, as the bits ``1 << p(t)`` in
+    label order, gets an int id on first sight, and a vertex carries the id
+    of its p from its first visit.  The first vertex processed with an id
+    builds that id's row of the table: ``(label, getter, 1 << p(k), id of
+    p∘j_k)`` for each label k, so |P| rows of n, P = <j_s>, replace a new p
+    per vertex.  Returns ``(elements, ids, table)``: ``elements[c]`` is the
+    element at vertex mask c, ``ids[c]`` its id and ``table[id]`` the row.
 
     Raises NotACubeGroupError when a product is not the element already at
     its vertex, or when two vertices hold the same element.  Both checks
@@ -303,15 +309,23 @@ def _vertex_closure(g: DecoratedGraph, images):
     """
     n, labels, compose_js = g.rank, g.labels, j_getters(g)
     rights = [itemgetter(*x) for x in images]
-    elements = [None] * (1 << n)
+    elements, ids = [None] * (1 << n), [0] * (1 << n)  # vertex -> element, id of its p
     elements[0] = tuple(range(len(images[0])))
-    bits = [None] * (1 << n)  # vertex -> (1 << p(t) for t), from first visit to processing
-    bits[0] = tuple(1 << k for k in range(n))
+    parts = [tuple(1 << k for k in range(n))]  # id -> p, as the bits (1 << p(t) for t)
+    id_of, table = {parts[0]: 0}, [None]  # p -> id; id -> row, once a vertex carries it
     queue = [0]
     for c in queue:  # the queue grows while it is walked
-        m, p = elements[c], bits[c]
-        bits[c] = None
-        for s, right, compose_j, b in zip(labels, rights, compose_js, p):
+        m, i = elements[c], ids[c]
+        if table[i] is None:
+            p, next_ids = parts[i], []
+            for q in [compose_j(p) for compose_j in compose_js]:  # the parts p∘j_k
+                if q not in id_of:
+                    id_of[q] = len(parts)
+                    parts.append(q)
+                    table.append(None)
+                next_ids.append(id_of[q])
+            table[i] = tuple(zip(labels, rights, p, next_ids))
+        for s, right, b, next_id in table[i]:
             if c & b and c != b:  # a down edge, checked from below
                 continue
             x = right(m)
@@ -319,14 +333,14 @@ def _vertex_closure(g: DecoratedGraph, images):
             y = elements[v]
             if y is None:
                 elements[v] = x
-                bits[v] = compose_j(p)
+                ids[v] = next_id
                 queue.append(v)
             elif y != x:
                 raise NotACubeGroupError(f"the product of element {c} by {s!r}"
                                          f" is not element {v}, the one at its vertex")
     if len(set(elements)) != len(elements):
         raise NotACubeGroupError("two vertices hold the same element")
-    return elements
+    return elements, ids, table
 
 
 def _closure(generators, labels):
@@ -367,7 +381,7 @@ def _closure(generators, labels):
         graph = DecoratedGraph(labels, involutions)
     except ValueError as exc:
         raise NotACubeGroupError(f"extracted {exc}") from exc
-    return _vertex_closure(graph, generators), graph
+    return _vertex_closure(graph, generators)[0], graph
 
 
 def decorated_graph_from_group(generators, labels) -> DecoratedGraph:

@@ -436,6 +436,13 @@ class TestElementsOnDemand:
         assert decoded == []
         assert found == [G.elements[i] for i in sample]
 
+    def test_cayley_decodes_nothing(self, rank12_union, decoded):
+        G = generate_group(rank12_union)
+        edges = G.cayley.edges
+        assert len(edges) == 12 * 2 ** 11
+        assert decoded == []
+        assert edges == decoded_cayley_edges(G)
+
     def test_first_access_decodes_each_element_once(self, rank12_union, decoded):
         G = generate_group(rank12_union)
         elements = G.elements
@@ -458,6 +465,58 @@ class TestElementsOnDemand:
         for G in groups + [generate_group(rank12_union)]:
             for i, e in enumerate(G.elements):
                 assert e.matrix == word_matrix(G.graph, G.word(i))
+
+
+def decoded_cayley_edges(G):
+    """Reference for `CubeGroup.cayley`: the edges read off the decoded
+    matrices, each distinct permutation part sorting the labels by bit once."""
+    labels, by_bit = G.graph.labels, {}
+    for e in G.elements:
+        perm = e.matrix.perm
+        if perm not in by_bit:
+            by_bit[perm] = sorted(zip([1 << p for p in perm], labels))
+    return tuple((i, i | b, s) for i, e in enumerate(G.elements)
+                 for b, s in by_bit[e.matrix.perm] if not i & b)
+
+
+class TestPermutationPartTable:
+    """`_vertex_closure` numbers each permutation part p with an id, and the
+    group keeps each vertex's id and one table row per id: for label k, the
+    getter of rho_k, the bit 1 << p(k) and the id of p∘j_k.  The kept
+    point-image tuples are the oracle: point 2k's image, halved, is p(k)."""
+
+    @staticmethod
+    def _graphs(rank12_union):
+        for rank in range(1, 6):  # rank 5 has graphs whose P is not abelian
+            for _, g in _admissible_graphs(rank):
+                yield g
+        yield rank12_union
+        yield graph_from("abcdefghijkl")  # abelian: one permutation part
+
+    def test_rows_match_the_kept_tuples(self, rank12_union):
+        sizes = Counter()
+        for g in self._graphs(rank12_union):
+            G, n = generate_group(g), g.rank
+            part_of = {}  # id -> the permutation part read off the tuples
+            for i, x in enumerate(G._products):
+                part = tuple(x[2 * t] >> 1 for t in range(n))
+                assert part_of.setdefault(G._ids[i], part) == part
+                row = G._table[G._ids[i]]
+                assert tuple(b for _, _, b, _ in row) == tuple(1 << q for q in part)
+                for k, (s, right, b, next_id) in enumerate(row):
+                    assert s == g.labels[k]
+                    assert i ^ b == G.step(i, k)
+                    assert right(x) == G._products[i ^ b]
+                    assert next_id == G._ids[i ^ b]
+            # one id per part, and every id carried by some vertex
+            assert sorted(part_of) == list(range(len(G._table)))
+            assert len(set(part_of.values())) == len(part_of)
+            assert G.cayley.edges == decoded_cayley_edges(G)
+            sizes[n, len(G._table)] += 1
+        # (rank, |P|): |P| <= 2^(n-2) from rank 3 on
+        assert sizes == {(1, 1): 1, (2, 1): 1, (3, 1): 1, (3, 2): 3, (4, 1): 1, (4, 2): 18,
+                         (4, 4): 3, (5, 1): 1, (5, 2): 85, (5, 4): 120, (5, 8): 30,
+                         (12, 8): 1, (12, 1): 1}
 
 
 @pytest.fixture
@@ -907,8 +966,10 @@ class TestVertexNumbering:
             G.element_for_matrix(SignedPermutation(tuple("abcd"), (0, 1, 2, 3), (1, 1, 1, -1)))
 
     def test_rank12_group_retains_no_table(self, rank12_union):
-        # 1.12 MB measured on CPython 3.11: per element the closure's tuple of
-        # 24 point images (1.14 MB once `elements` decodes them).  A stored table
+        # 1.03 MB measured on CPython 3.11: per element the closure's tuple of
+        # 24 point images and its permutation-part id, plus the 8 rows of the
+        # ids' table (1.12 MB with the tuples alone, before the ids; 1.14 MB
+        # once `elements` decoded them).  A stored table
         # of the 12 neighbours per element adds at least 0.39 MB, even as one flat list.
         gc.collect()
         tracemalloc.start()
@@ -987,7 +1048,7 @@ class TestVertexClosure:
             points = [generator_rho(g, s).point_images() for s in g.labels]
             rights = [itemgetter(*p) for p in points]
             elements, step, coords = reference_closure(points, g.labels, rights)
-            by_vertex = group._vertex_closure(g, points)
+            by_vertex, _, _ = group._vertex_closure(g, points)
             assert [by_vertex[c] for c in coords] == elements
             G = generate_group(g)
             assert [tuple(G.step(c, k) for k in range(g.rank)) for c in coords] == [
