@@ -175,7 +175,7 @@ def normal_form(G: CubeGroup, ordering) -> NormalForm:
     label raises ValueError.
     """
     ordering = _checked_word(G.graph, ordering)
-    pos = {s: k for k, s in enumerate(G.graph.labels)}
+    pos = G.graph._positions
     missing = [s for s in pos if s not in ordering]
     repeated = sorted({s for s in ordering if ordering.count(s) > 1})
     if missing or repeated:

@@ -122,8 +122,8 @@ def parse_decorated_graph(doc: str) -> DecoratedGraph:
     return DecoratedGraph(labels, involutions)
 
 
-def _involution_cycles(labels, mapping) -> list[tuple[str, str]]:
-    order = {s: i for i, s in enumerate(labels)}
+def _involution_cycles(g: DecoratedGraph, s: str) -> list[tuple[str, str]]:
+    order, mapping = g._positions, g.involutions[s]
     pairs = [(u, v) for u, v in mapping.items() if order[u] < order[v]]
     return sorted(pairs, key=lambda c: order[c[0]])
 
@@ -131,7 +131,7 @@ def _involution_cycles(labels, mapping) -> list[tuple[str, str]]:
 def serialize_decorated_graph(g: DecoratedGraph) -> str:
     lines = ["gens: " + " ".join(g.labels)]
     for s in g.labels:
-        cycles = _involution_cycles(g.labels, g.involutions[s])
+        cycles = _involution_cycles(g, s)
         if cycles:
             lines.append(f"{s}: " + "".join(f"({u} {v})" for u, v in cycles))
     return "\n".join(lines) + "\n"

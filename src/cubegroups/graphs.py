@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import (
@@ -120,6 +121,11 @@ class DecoratedGraph:
     def rank(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """Label -> its position in `labels`, built once per graph."""
+        return {s: k for k, s in enumerate(self.labels)}
+
     def apply(self, s: str, t: str) -> str:
         """Image of t under the involution attached to s."""
         _check_label(self.involutions, s)
@@ -150,15 +156,24 @@ class DecoratedGraph:
         return type(self)._trusted(labels, invs)
 
 
+def _position_table(g: DecoratedGraph):
+    """The admissibility core's table of graph g, as ``(inv, gets)``:
+    ``inv[k]`` is the involution of label k as the tuple of the positions of
+    j(t), t in label order, and ``gets[k]`` its `itemgetter`, which takes a
+    tuple x indexed by label position to x∘j.  A rank-1 graph has no seed,
+    so it gets no getter (``itemgetter(0)`` would return the item itself)."""
+    labels, pos = g.labels, g._positions
+    inv = [tuple([pos[j[t]] for t in labels]) for j in map(g.involutions.__getitem__, labels)]
+    return inv, [itemgetter(*row) for row in inv] if len(inv) > 1 else [None]
+
+
 def j_getters(g: DecoratedGraph) -> list:
     """One getter per label s, in label order: a sequence indexed by label
     position goes to the tuple of its entries at j_s(t), t in label order.
     On a permutation part p it gives the permutation part p∘j_s."""
-    labels = g.labels
-    if len(labels) == 1:
+    if g.rank == 1:
         return [lambda seq: (seq[0],)]  # itemgetter(0) returns the item itself
-    pos = {t: k for k, t in enumerate(labels)}
-    return [itemgetter(*[pos[g.involutions[s][t]] for t in labels]) for s in labels]
+    return _position_table(g)[1]
 
 
 class TrajectoryKind(Enum):
@@ -236,23 +251,26 @@ class AdmissibilityReport:
     failures: tuple[AdmissibilityFailure, ...]
 
 
-def _failing_seeds(labels, inv, seeds=None, undecided=None):
-    """Yield ``(seed, witness)`` for each failing seed that the involution
-    table `inv` decides, in the order of `seeds` (default: every ordered pair
-    of distinct labels, in label order); the seeds are not checked.
+def _failing_seeds(inv, gets, seeds=None, undecided=None):
+    """Yield ``(seed, witness)`` for each failing seed that the position
+    table ``(inv, gets)`` (`_position_table`) decides, in the order of
+    `seeds` (default: every ordered pair of distinct positions, in order);
+    the seeds, pairs of label positions, are not checked.
 
-    `inv` maps every label to its involution, or to None while that
-    involution is not assigned yet (the sweep's label-by-label search fills
-    in ``dict.fromkeys(labels)``); a full table decides every seed.  Seed
-    (u, v) is decided once j_v, j_{s3}, j_{s4} and j_{s5} are assigned: its
-    period and holonomy need no other label, as a periodic seed has s5 = u.
-    Until then it is skipped, and appended to `undecided` if that is a list;
-    assigning more labels never changes a decided verdict, so the search
-    hands each branch only the seeds its parent left undecided.  A label
-    missing from `inv` raises KeyError.  The witness is None when the
-    trajectory is not 4-periodic, and the nontrivial holonomy otherwise.
+    ``inv[k]`` is None while label k's involution is not assigned yet (the
+    sweep's label-by-label search fills the table in); a full table decides
+    every seed.  Seed (u, v) is decided once j_v, j_{s3}, j_{s4} and j_{s5}
+    are assigned: its period and holonomy need no other label, as a periodic
+    seed has s5 = u.  Until then it is skipped, and appended to `undecided`
+    if that is a list; assigning more labels never changes a decided
+    verdict, so the search hands each branch only the seeds its parent left
+    undecided.  A row missing from the table raises IndexError.  The witness
+    is None when the trajectory is not 4-periodic, and otherwise the
+    nontrivial holonomy j_{s4}∘j_{s3}∘j_v∘j_u as a position tuple: three
+    getter calls, ``gets[u](gets[v](gets[s3](j4)))``.
     """
-    for seed in itertools.permutations(labels, 2) if seeds is None else seeds:
+    identity = tuple(range(len(inv)))
+    for seed in itertools.permutations(identity, 2) if seeds is None else seeds:
         u, v = seed
         j2 = inv[v]
         if (j2 is None or (j3 := inv[s3 := j2[u]]) is None
@@ -263,26 +281,29 @@ def _failing_seeds(labels, inv, seeds=None, undecided=None):
         if s5 != u or j1[s4] != v:
             yield seed, None
             continue
-        images = tuple([j4[j3[j2[j1[t]]]] for t in labels])
-        if images != labels:
-            yield seed, dict(zip(labels, images))
+        images = gets[u](gets[v](gets[s3](j4)))
+        if images != identity:
+            yield seed, images
 
 
 def is_admissible(g: DecoratedGraph) -> AdmissibilityReport:
     """Check every trajectory for 4-periodicity and trivial holonomy.
 
-    Failures are reported as data, one entry per failing seed, in label order.
+    Failures are reported as data, one entry per failing seed, in label
+    order; the core's position seeds and witnesses are mapped to labels.
     """
+    labels = g.labels
     failures = tuple(
-        AdmissibilityFailure(seed, "NotFourPeriodic" if witness is None else "Holonomy", witness)
-        for seed, witness in _failing_seeds(g.labels, g.involutions)
+        AdmissibilityFailure((labels[u], labels[v]), "NotFourPeriodic" if w is None else "Holonomy",
+                             None if w is None else dict(zip(labels, map(labels.__getitem__, w))))
+        for (u, v), w in _failing_seeds(*_position_table(g))
     )
     return AdmissibilityReport(not failures, failures)
 
 
 def admissible_quick(g: DecoratedGraph) -> bool:
     """Short-circuit admissibility test: stops at the first failing seed."""
-    return next(_failing_seeds(g.labels, g.involutions), None) is None
+    return next(_failing_seeds(*_position_table(g)), None) is None
 
 
 def require_admissible(g: DecoratedGraph) -> None:

@@ -129,7 +129,7 @@ def generator_rho(g: DecoratedGraph, s: str) -> SignedPermutation:
     Not re-validated: the graph's j_s is an involution of its labels."""
     if s not in g.involutions:
         raise UnknownLabelError(s)
-    labels, j, pos = g.labels, g.involutions[s], {t: k for k, t in enumerate(g.labels)}
+    labels, j, pos = g.labels, g.involutions[s], g._positions
     perm = tuple([pos[j[t]] for t in labels])
     return SignedPermutation._trusted(labels, perm, tuple([-1 if t == s else 1 for t in labels]))
 
@@ -209,10 +209,6 @@ class CubeGroup:
             for b, s in by_bit[t] if not i & b))
         return lg
 
-    @cached_property
-    def _label_index(self) -> dict[str, int]:
-        return {s: k for k, s in enumerate(self.graph.labels)}
-
     def element_for_matrix(self, m: SignedPermutation) -> GroupElement:
         """The element whose matrix is m, read off its vertex with no decode;
         KeyError when m is not in the group."""
@@ -226,7 +222,7 @@ class CubeGroup:
         """The element of a word in applied-first order: a walk from the
         identity taking the letters last to first, as right factors."""
         word = tuple(word)
-        pos, products, i = self._label_index, self._products, 0
+        pos, products, i = self.graph._positions, self._products, 0
         try:
             for s in reversed(word):
                 i ^= 1 << (products[i][2 * pos[s]] >> 1)  # step(i, pos[s]), inlined

@@ -86,18 +86,26 @@ def sign_formula_mismatches(G: CubeGroup) -> list[tuple[str, ...]]:
     whole tuple, -e_t images included, covers every word in |G|·n steps, up
     and down, and re-checks each edge the closure multiplied at one end only;
     no matrix is decoded.  This tests that the generator matrices, the
-    closure's products and the involution table agree.  The group is walked
-    breadth-first from element 0 with one word per element; a failed step is
-    reported as (s,) + w and not walked on, so formula and fold differ on
-    every reported word.  A non-identity element 0 is reported as ().
+    closure's products and the involution table agree.  Each label's steps
+    are compared as one column, the step on every element against the
+    elements at their step targets.  Only if a column differs is the group
+    walked breadth-first from element 0 with one word per element; a failed
+    step is reported as (s,) + w and not walked on, so formula and fold
+    differ on every reported word.  A non-identity element 0 is reported as ().
     """
     labels, involutions, products = G.graph.labels, G.graph.involutions, G._products
-    pos, rights = G._label_index, []  # rights: the formula's one-letter maps
+    pos, rights = G.graph._positions, []  # rights: the formula's one-letter maps
     for s in labels:
         plus = [2 * pos[involutions[s][t]] + (t == s) for t in labels]
         rights.append(itemgetter(*[q ^ b for q in plus for b in (0, 1)]))
     if products[0] != tuple(range(2 * len(labels))):
         return [()]
+    for k2, right in zip(range(0, 2 * len(labels), 2), rights):  # k2: point +e_k
+        if list(map(right, products)) != [
+                products[i ^ 1 << (x[k2] >> 1)] for i, x in enumerate(products)]:
+            break
+    else:
+        return []  # every step agrees, so no word differs
     words, queue, bad = {0: ()}, [0], []  # words: element index -> the word it was reached by
     for i in queue:  # the list grows while it is walked
         x, word = products[i], words[i]

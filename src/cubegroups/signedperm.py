@@ -74,7 +74,7 @@ class SignedPermutation:
         """The map on the 2n points +-e_t: point 2i is +e_{labels[i]} and point
         2i+1 is -e_{labels[i]}.  ``x.compose(y)`` sends point q to
         ``x.point_images()[y.point_images()[q]]``."""
-        return tuple(2 * p + (k ^ (s < 0)) for p, s in zip(self.perm, self.signs) for k in (0, 1))
+        return tuple([2 * p + (k ^ (s < 0)) for p, s in zip(self.perm, self.signs) for k in (0, 1)])
 
     @property
     def is_identity(self) -> bool:

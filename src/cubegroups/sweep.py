@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .decompose import _orbit_tree, decomposition_ordering, normal_form, orbits, planar_orderings
 from .errors import CubeGroupError
@@ -89,29 +90,40 @@ def _admissible_graphs(rank: int):
 
     Depth-first over the labels in order, each trying its involutions in
     enumeration order, so the index is the mixed-radix number of the choices
-    with the last label varying fastest.  After each assignment the
-    admissibility core runs on the partial table over the seeds the parent
-    left undecided.  A seed it decides has that verdict in every completion:
-    a failing one cuts the branch, a passing one is not handed down.  Only
+    with the last label varying fastest.  Each choice is built once per rank
+    as its dict, its position tuple and (above rank 1, where there are
+    seeds) its `itemgetter`.  After each assignment the admissibility core
+    runs on the partial position table over the seeds the parent left
+    undecided.  A seed it decides has that verdict in every completion: a
+    failing one cuts the branch, a passing one is not handed down.  Only
     admissible graphs are built, each owning its involution dicts.
     """
     labels, choices = _label_choices(rank)
-    radix = len(choices[0])
-    inv = dict.fromkeys(labels)
+    radix, pos = len(choices[0]), {s: k for k, s in enumerate(labels)}
+    options = []  # per label, its (dict, position tuple, getter) per choice
+    for js in choices:
+        rows = [tuple([pos[j[t]] for t in labels]) for j in js]
+        getters = [itemgetter(*row) for row in rows] if rank > 1 else [None] * len(rows)
+        options.append(list(zip(js, rows, getters)))
+    table = ([None] * rank, [None] * rank, [None] * rank)  # per label: dict, tuple, getter
+    return _extend(labels, radix, options, table, 0, 0, list(itertools.permutations(range(rank), 2)))
 
-    def extend(depth, index, seeds):
-        if depth == rank:
-            yield index, _trusted_graph(labels, {s: dict(inv[s]) for s in labels})
-            return
-        s = labels[depth]
-        for choice, j in enumerate(choices[depth]):
-            inv[s] = j
-            undecided = []
-            if next(_failing_seeds(labels, inv, seeds, undecided), None) is None:
-                yield from extend(depth + 1, index * radix + choice, undecided)
-        inv[s] = None
 
-    return extend(0, 0, list(itertools.permutations(labels, 2)))
+def _extend(labels, radix, options, table, depth, index, seeds):
+    """The search below a node: `table` holds the choices of the labels
+    before `depth`, `index` their mixed-radix number and `seeds` the seeds
+    they left undecided.  A module-level function, not a closure, so no
+    reference cycle keeps the choices alive after the search."""
+    dicts, inv, gets = table
+    if depth == len(labels):
+        yield index, _trusted_graph(labels, {s: dict(j) for s, j in zip(labels, dicts)})
+        return
+    for choice, (dicts[depth], inv[depth], gets[depth]) in enumerate(options[depth]):
+        undecided = []
+        if next(_failing_seeds(inv, gets, seeds, undecided), None) is None:
+            yield from _extend(labels, radix, options, table, depth + 1,
+                               index * radix + choice, undecided)
+    inv[depth] = None
 
 
 @dataclass

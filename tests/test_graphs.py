@@ -1,5 +1,7 @@
 import importlib
 import itertools
+import random
+from operator import itemgetter
 
 import pytest
 
@@ -125,13 +127,106 @@ class TestAdmissibility:
                     assert f.witness == holonomy(g, *f.seed)
 
 
+def reference_failing_seeds(labels, inv, seeds=None, undecided=None):
+    """The admissibility core on a table of label dicts, with None for an
+    unassigned involution: the differential oracle for the position core.
+
+    Same verdicts and order as `graphs._failing_seeds`, in labels: seed
+    (u, v) is decided once j_v, j_{s3}, j_{s4} and j_{s5} are assigned, else
+    appended to `undecided`; the witness is None for a seed that is not
+    4-periodic and the nontrivial holonomy dict otherwise.
+    """
+    for seed in itertools.permutations(labels, 2) if seeds is None else seeds:
+        u, v = seed
+        j2 = inv[v]
+        if (j2 is None or (j3 := inv[s3 := j2[u]]) is None
+                or (j4 := inv[s4 := j3[v]]) is None or (j1 := inv[s5 := j4[s3]]) is None):
+            if undecided is not None:
+                undecided.append(seed)
+            continue
+        if s5 != u or j1[s4] != v:
+            yield seed, None
+            continue
+        images = tuple([j4[j3[j2[j1[t]]]] for t in labels])
+        if images != labels:
+            yield seed, dict(zip(labels, images))
+
+
+def core(labels, inv, seeds=None, undecided=None):
+    """`graphs._failing_seeds` on the label-dict table `inv` (None for an
+    unassigned involution): the seeds in, and the seeds, witnesses and
+    undecided seeds out, in labels.  A label missing from `inv` raises KeyError."""
+    pos = {s: k for k, s in enumerate(labels)}
+    rows = [None if inv[s] is None else tuple(pos[inv[s][t]] for t in labels) for s in labels]
+    gets = [None if row is None or len(row) == 1 else itemgetter(*row) for row in rows]
+    if seeds is not None:
+        seeds = [(pos[u], pos[v]) for u, v in seeds]
+    left, named = None if undecided is None else [], labels.__getitem__
+    found = [(tuple(map(named, seed)), None if w is None else dict(zip(labels, map(named, w))))
+             for seed, w in graphs._failing_seeds(rows, gets, seeds, left)]
+    if undecided is not None:
+        undecided.extend(tuple(map(named, seed)) for seed in left)
+    return found
+
+
+def label_table(labels, inv):
+    """A position table's rows as the label-dict table `core` takes."""
+    return {s: None if row is None else dict(zip(labels, map(labels.__getitem__, row)))
+            for s, row in zip(labels, inv)}
+
+
+class TestPositionCore:
+    """The position core against the label-dict reference: same seeds, kinds,
+    witnesses and undecided seeds, in the same order."""
+
+    @staticmethod
+    def _agree(labels, inv):
+        got, want = [], []
+        want_found = list(reference_failing_seeds(labels, inv, None, want))
+        assert core(labels, inv, None, got) == want_found
+        assert got == want
+        return len(want)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_every_full_and_partial_table(self, rank):
+        undecided = 0
+        for g in enumerate_decorated_graphs(rank):
+            for k in range(rank + 1):
+                for assigned in itertools.combinations(g.labels, k):
+                    inv = dict.fromkeys(g.labels)
+                    inv.update((s, g.involutions[s]) for s in assigned)
+                    undecided += self._agree(g.labels, inv)
+        assert undecided > 0 or rank == 1
+
+    def test_rank12_fixtures(self, rank12_union):
+        """The rank-12 union, and copies with one involution replaced by a
+        random label-fixing one, each on its full table and every prefix of
+        the labels assigned, as in the search."""
+        labels, rng, graphs_ = rank12_union.labels, random.Random(12), [rank12_union]
+        for s in labels:
+            rest = [t for t in labels if t != s]
+            rng.shuffle(rest)
+            j = {t: t for t in labels}
+            for a, b in zip(rest[:4:2], rest[1:4:2]):
+                j[a], j[b] = b, a
+            graphs_.append(DecoratedGraph(labels, {**rank12_union.involutions, s: j}))
+        kinds = set()
+        for g in graphs_:
+            for k in range(len(labels) + 1):
+                inv = dict.fromkeys(labels)
+                inv.update((s, g.involutions[s]) for s in labels[:k])
+                self._agree(labels, inv)
+            kinds.update(f.kind for f in is_admissible(g).failures)
+        assert kinds == {"NotFourPeriodic", "Holonomy"}
+
+
 class TestPartialTable:
     """The admissibility core on a table whose unassigned involutions are None."""
 
     @pytest.mark.parametrize("rank", [3, 4])
     def test_reports_exactly_the_decided_failures(self, rank):
         for g in enumerate_decorated_graphs(rank):
-            full = list(graphs._failing_seeds(g.labels, g.involutions))
+            full = list(core(g.labels, g.involutions))
             # seed (u, v) is decided by j_v, j_{s3}, j_{s4} and j_{s5}
             needs = {seed: set(trajectory(g, *seed).terms[1:5]) for seed, _ in full}
             for k in range(rank + 1):
@@ -139,21 +234,20 @@ class TestPartialTable:
                     inv = dict.fromkeys(g.labels)
                     inv.update((s, g.involutions[s]) for s in assigned)
                     expected = [(seed, w) for seed, w in full if needs[seed] <= set(assigned)]
-                    assert list(graphs._failing_seeds(g.labels, inv)) == expected
+                    assert list(core(g.labels, inv)) == expected
 
     def test_seed_subsets_on_the_search_tables(self, monkeypatch):
         """On every partial table of the rank-4 search, the core given a seed
         list yields that list's failing seeds from the all-seed output, and
         receives exactly the listed seeds it does not decide."""
-        tables = []
+        tables, labels = [], tuple("abcd")
 
-        def record(labels, inv, seeds, undecided):
-            tables.append((dict(inv), list(seeds)))
-            return graphs._failing_seeds(labels, inv, seeds, undecided)
+        def record(inv, gets, seeds, undecided):
+            tables.append((label_table(labels, inv), [(labels[u], labels[v]) for u, v in seeds]))
+            return graphs._failing_seeds(inv, gets, seeds, undecided)
 
         monkeypatch.setattr(sweep_module, "_failing_seeds", record)
         assert len(list(sweep_module._admissible_graphs(4))) == 22
-        labels = tuple("abcd")
         every = list(itertools.permutations(labels, 2))
         for inv, handed in tables:
             assigned = {s for s, j in inv.items() if j is not None}
@@ -162,10 +256,10 @@ class TestPartialTable:
                 s: {t: t for t in labels} if j is None else j for s, j in inv.items()})
             decided = {seed for seed in every
                        if set(trajectory(g, *seed).terms[1:5]) <= assigned}
-            full = list(graphs._failing_seeds(labels, inv))
+            full = list(core(labels, inv))
             for subset in (handed, every, every[::2], every[1::2], []):
                 undecided = []
-                found = list(graphs._failing_seeds(labels, inv, subset, undecided))
+                found = list(core(labels, inv, subset, undecided))
                 assert found == [(seed, w) for seed, w in full if seed in subset]
                 assert undecided == [seed for seed in subset if seed not in decided]
         assert len(tables) > 22
@@ -174,9 +268,12 @@ class TestPartialTable:
         inv = dict(bad_rank3.involutions)
         del inv["c"]
         with pytest.raises(KeyError):
-            list(graphs._failing_seeds(bad_rank3.labels, inv))
+            list(core(bad_rank3.labels, inv))
         with pytest.raises(KeyError):
             admissible_quick(DecoratedGraph._trusted(bad_rank3.labels, inv))
+        rows, gets = graphs._position_table(bad_rank3)
+        with pytest.raises(IndexError):  # the core's table without c's row
+            list(graphs._failing_seeds(rows[:2], gets[:2]))
 
 
 class TestEdgePartition:

@@ -296,9 +296,9 @@ class TestGenerateGroup:
         passes = []
         failing_seeds = graphs._failing_seeds
 
-        def counting(labels, inv, *args):
-            passes.append(labels)
-            return failing_seeds(labels, inv, *args)
+        def counting(inv, gets, *args):
+            passes.append(inv)
+            return failing_seeds(inv, gets, *args)
 
         monkeypatch.setattr(graphs, "_failing_seeds", counting)
         G = generate_group(rank12_union)
@@ -309,7 +309,7 @@ class TestGenerateGroup:
         assert passes == []
         with pytest.raises(NotAdmissibleError):
             generate_group(bad_rank3)
-        assert passes == [bad_rank3.labels]
+        assert passes == [graphs._position_table(bad_rank3)[0]]
 
     def test_identity_vertex_subset_empty(self, d4):
         G = generate_group(d4)

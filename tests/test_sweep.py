@@ -1,11 +1,13 @@
+import gc
 import importlib
+import itertools
 
 import pytest
 
 from cubegroups import graphs
 from cubegroups.decompose import OrbitPartition
 from cubegroups.errors import RankCapExceededError, RankTooSmallError
-from cubegroups.graphs import DecoratedGraph, admissible_quick
+from cubegroups.graphs import DecoratedGraph, admissible_quick, is_admissible
 from cubegroups.sweep import (
     enumerate_decorated_graphs,
     involution_count,
@@ -160,6 +162,18 @@ def test_search_equals_brute_force(rank, expected):
     assert searched == brute
 
 
+def test_search_leaves_no_reference_cycle():
+    """The search's choice table is freed by reference counting when the
+    search ends, not held in a cycle until the cyclic collector runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(sweep_module._admissible_graphs(4))) == 22
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_searched_graphs_share_no_mapping():
     found = [g for _, g in sweep_module._admissible_graphs(3)]
     maps = [j for g in found for j in g.involutions.values()]
@@ -209,11 +223,68 @@ def test_search_hands_down_only_undecided_seeds(monkeypatch):
     node of a search that re-checks every seed would hand it."""
     handed = []
 
-    def counted(labels, inv, seeds, undecided):
+    def counted(inv, gets, seeds, undecided):
         handed.append(len(seeds))
-        return graphs._failing_seeds(labels, inv, seeds, undecided)
+        return graphs._failing_seeds(inv, gets, seeds, undecided)
 
     monkeypatch.setattr(sweep_module, "_failing_seeds", counted)
     assert len(list(sweep_module._admissible_graphs(5))) == 236
     assert len(handed) == 10_710
     assert sum(handed) < 10_710 * 20
+
+
+def test_search_examines_the_pinned_seed_count(monkeypatch):
+    """The rank-5 search's nodes draw 42,630 seeds in all from the lists
+    handed to them: each node stops at its first failing seed."""
+    drawn = []
+
+    def counted(inv, gets, seeds, undecided):
+        def draw():
+            for seed in seeds:
+                drawn.append(seed)
+                yield seed
+        return graphs._failing_seeds(inv, gets, draw(), undecided)
+
+    monkeypatch.setattr(sweep_module, "_failing_seeds", counted)
+    assert len(list(sweep_module._admissible_graphs(5))) == 236
+    assert len(drawn) == 42_630
+
+
+def _unrolled_admissible(g):
+    """Brute force: unroll each seed's recurrence with the public `g.apply`
+    and compose the four involutions along its period by hand."""
+    for u, v in itertools.permutations(g.labels, 2):
+        terms = [u, v]
+        for _ in range(4):
+            terms.append(g.apply(terms[-1], terms[-2]))
+        if terms[4:] != [u, v]:
+            return False
+        for t in g.labels:
+            image = t
+            for s in terms[:4]:
+                image = g.apply(s, image)
+            if image != t:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_smallest_ranks_against_brute_force(rank, monkeypatch):
+    """At ranks 1 and 2 the core's verdicts, the search and the sweep agree
+    with the unrolled check.  Rank 1 has no seed, and the core and the search
+    build no getter there: ``itemgetter(0)`` would return an item, not a 1-tuple."""
+    if rank == 1:
+        def refuse(*items):
+            raise AssertionError("a getter built at rank 1")
+
+        monkeypatch.setattr(graphs, "itemgetter", refuse)
+        monkeypatch.setattr(sweep_module, "itemgetter", refuse)
+    population = list(enumerate_decorated_graphs(rank))
+    brute = [(i, g) for i, g in enumerate(population) if _unrolled_admissible(g)]
+    assert len(brute) == 1
+    for g in population:
+        assert is_admissible(g).admissible == admissible_quick(g) == _unrolled_admissible(g)
+    assert list(sweep_module._admissible_graphs(rank)) == brute
+    report = sweep(rank)
+    assert report.ok
+    assert (report.total_graphs, report.admissible_count) == (len(population), len(brute))
