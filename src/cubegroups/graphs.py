@@ -126,12 +126,6 @@ class DecoratedGraph:
         """Label -> its position in `labels`, built once per graph."""
         return {s: k for k, s in enumerate(self.labels)}
 
-    def apply(self, s: str, t: str) -> str:
-        """Image of t under the involution attached to s."""
-        _check_label(self.involutions, s)
-        _check_label(self.involutions, t)
-        return self.involutions[s][t]
-
     def restricted(self, subset) -> "DecoratedGraph":
         """Restriction to an invariant label subset, preserving label order.
 
@@ -156,24 +150,21 @@ class DecoratedGraph:
         return type(self)._trusted(labels, invs)
 
 
+def _getter(row):
+    """Takes a sequence x to the tuple of its entries at the positions in
+    ``row``: a lambda for one position, where ``itemgetter`` returns the item."""
+    return itemgetter(*row) if len(row) > 1 else lambda x: (x[row[0]],)
+
+
 def _position_table(g: DecoratedGraph):
     """The admissibility core's table of graph g, as ``(inv, gets)``:
     ``inv[k]`` is the involution of label k as the tuple of the positions of
-    j(t), t in label order, and ``gets[k]`` its `itemgetter`, which takes a
-    tuple x indexed by label position to x∘j.  A rank-1 graph has no seed,
-    so it gets no getter (``itemgetter(0)`` would return the item itself)."""
+    j(t), t in label order, and ``gets[k]`` its `_getter`, which takes a
+    tuple x indexed by label position to x∘j; on a permutation part p it
+    gives the permutation part p∘j_k."""
     labels, pos = g.labels, g._positions
     inv = [tuple([pos[j[t]] for t in labels]) for j in map(g.involutions.__getitem__, labels)]
-    return inv, [itemgetter(*row) for row in inv] if len(inv) > 1 else [None]
-
-
-def j_getters(g: DecoratedGraph) -> list:
-    """One getter per label s, in label order: a sequence indexed by label
-    position goes to the tuple of its entries at j_s(t), t in label order.
-    On a permutation part p it gives the permutation part p∘j_s."""
-    if g.rank == 1:
-        return [lambda seq: (seq[0],)]  # itemgetter(0) returns the item itself
-    return _position_table(g)[1]
+    return inv, list(map(_getter, inv))
 
 
 class TrajectoryKind(Enum):

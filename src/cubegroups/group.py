@@ -26,7 +26,7 @@ from .errors import (
     NotStandardError,
     UnknownLabelError,
 )
-from .graphs import DecoratedGraph, check_rank, j_getters, require_admissible, validate_labels
+from .graphs import DecoratedGraph, _position_table, check_rank, require_admissible, validate_labels
 from .graphs import validate_label
 from .signedperm import Perm, SignedPermutation
 
@@ -303,7 +303,7 @@ def _vertex_closure(g: DecoratedGraph, images):
     tuples compose associatively, so x * rho_k * rho_k = x once rho_k^2 = 1,
     and distinct elements keep a vertex's down labels apart.
     """
-    n, labels, compose_js = g.rank, g.labels, j_getters(g)
+    n, labels, compose_js = g.rank, g.labels, _position_table(g)[1]
     rights = [itemgetter(*x) for x in images]
     elements, ids = [None] * (1 << n), [0] * (1 << n)  # vertex -> element, id of its p
     elements[0] = tuple(range(len(images[0])))

@@ -83,15 +83,16 @@ def sign_formula_mismatches(G: CubeGroup) -> list[tuple[str, ...]]:
     rho_s, s = labels[k], the fold of ``(s,) + w``, at vertex ``G.step(i, k)``,
     checked there if the step goes up the cube (down follows from rho_s^2 = 1).
     So once element 0 is the identity, comparing the step on every element's
-    whole tuple, -e_t images included, covers every word in |G|·n steps, up
-    and down, and re-checks each edge the closure multiplied at one end only;
-    no matrix is decoded.  This tests that the generator matrices, the
-    closure's products and the involution table agree.  Each label's steps
-    are compared as one column, the step on every element against the
-    elements at their step targets.  Only if a column differs is the group
-    walked breadth-first from element 0 with one word per element; a failed
-    step is reported as (s,) + w and not walked on, so formula and fold
-    differ on every reported word.  A non-identity element 0 is reported as ().
+    tuple covers every word in |G|·n steps, up and down, and re-checks each
+    edge the closure multiplied at one end only; no matrix is decoded.  The
+    steps' +e_t entries then pin every -e_t entry, so the whole-tuple compare
+    adds no coverage past the +e_t points.  This tests that the generator
+    matrices, the closure's products and the involution table agree.  Each
+    label's steps are compared as one column, the step on every element
+    against the elements at their step targets.  Only if a column differs is
+    the group walked breadth-first from element 0 with one word per element;
+    a failed step is reported as (s,) + w and not walked on, so formula and
+    fold differ on every reported word.  A non-identity element 0 gives ().
     """
     labels, involutions, products = G.graph.labels, G.graph.involutions, G._products
     pos, rights = G.graph._positions, []  # rights: the formula's one-letter maps

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LabelSetMismatchError, UnknownLabelError
+from .errors import LabelSetMismatchError
 from .graphs import validate_labels
 
 
@@ -41,15 +41,6 @@ class SignedPermutation:
         labels = tuple(labels)
         n = len(labels)
         return cls(labels, tuple(range(n)), (1,) * n)
-
-    @classmethod
-    def from_maps(cls, labels, perm_map, sign_map) -> "SignedPermutation":
-        """Build from label-keyed dicts: perm_map[t] = image label, sign_map[t] = +-1."""
-        labels = tuple(labels)
-        index = {s: i for i, s in enumerate(labels)}
-        perm = tuple(index[perm_map[s]] for s in labels)
-        signs = tuple(sign_map[s] for s in labels)
-        return cls(labels, perm, signs)
 
     @classmethod
     def _trusted(cls, labels, perm, signs) -> "SignedPermutation":
@@ -103,18 +94,6 @@ class SignedPermutation:
             inv_perm[p] = i
             inv_signs[p] = self.signs[i]
         return SignedPermutation._trusted(self.labels, tuple(inv_perm), tuple(inv_signs))
-
-    def image_label(self, t: str) -> str:
-        return self.labels[self.perm[self._index(t)]]
-
-    def sign_of(self, t: str) -> int:
-        return self.signs[self._index(t)]
-
-    def _index(self, t: str) -> int:
-        try:
-            return self.labels.index(t)
-        except ValueError:
-            raise UnknownLabelError(t) from None
 
     def perm_map(self) -> dict[str, str]:
         return {s: self.labels[self.perm[i]] for i, s in enumerate(self.labels)}

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .decompose import _orbit_tree, decomposition_ordering, normal_form, orbits, planar_orderings
 from .errors import CubeGroupError
-from .graphs import DecoratedGraph, _failing_seeds, check_rank, validate_labels
+from .graphs import DecoratedGraph, _failing_seeds, _getter, check_rank, validate_labels
 from .group import generate_group
 from .rep import sign_formula_mismatches
 
@@ -91,8 +90,8 @@ def _admissible_graphs(rank: int):
     Depth-first over the labels in order, each trying its involutions in
     enumeration order, so the index is the mixed-radix number of the choices
     with the last label varying fastest.  Each choice is built once per rank
-    as its dict, its position tuple and (above rank 1, where there are
-    seeds) its `itemgetter`.  After each assignment the admissibility core
+    as its dict, its position tuple and its `graphs._getter` (a lambda at
+    rank 1, which has no seed).  After each assignment the admissibility core
     runs on the partial position table over the seeds the parent left
     undecided.  A seed it decides has that verdict in every completion: a
     failing one cuts the branch, a passing one is not handed down.  Only
@@ -103,8 +102,7 @@ def _admissible_graphs(rank: int):
     options = []  # per label, its (dict, position tuple, getter) per choice
     for js in choices:
         rows = [tuple([pos[j[t]] for t in labels]) for j in js]
-        getters = [itemgetter(*row) for row in rows] if rank > 1 else [None] * len(rows)
-        options.append(list(zip(js, rows, getters)))
+        options.append(list(zip(js, rows, map(_getter, rows))))
     table = ([None] * rank, [None] * rank, [None] * rank)  # per label: dict, tuple, getter
     return _extend(labels, radix, options, table, 0, 0, list(itertools.permutations(range(rank), 2)))
 

@@ -1,6 +1,7 @@
 import pytest
 
 from cubegroups.graphs import DecoratedGraph
+from cubegroups.signedperm import SignedPermutation
 
 
 def graph_from(labels, swaps=None):
@@ -14,6 +15,14 @@ def graph_from(labels, swaps=None):
             mapping[u], mapping[v] = v, u
         involutions[s] = mapping
     return DecoratedGraph(labels, involutions)
+
+
+def from_maps(labels, perm_map, sign_map):
+    """A validated signed permutation from label-keyed dicts: perm_map[t] is
+    the image label of t and sign_map[t] its sign, +1 or -1."""
+    labels = tuple(labels)
+    return SignedPermutation(labels, [labels.index(perm_map[s]) for s in labels],
+                             [sign_map[s] for s in labels])
 
 
 def vertex_subset(G, i):

@@ -85,7 +85,7 @@ class TestAdmissibility:
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_report_matches_unrolled_reference(self, rank):
-        # reference: unroll the recurrence with the public g.apply and compose
+        # reference: unroll the recurrence on g.involutions and compose
         # the four involutions along the period by hand
         def reference(g):
             failures = []
@@ -95,7 +95,7 @@ class TestAdmissibility:
                         continue
                     terms = [u, v]
                     for _ in range(4):
-                        terms.append(g.apply(terms[-1], terms[-2]))
+                        terms.append(g.involutions[terms[-1]][terms[-2]])
                     if terms[4:] != [u, v]:
                         failures.append(AdmissibilityFailure((u, v), "NotFourPeriodic"))
                         continue
@@ -103,7 +103,7 @@ class TestAdmissibility:
                     for t in g.labels:
                         image = t
                         for s in terms[:4]:
-                            image = g.apply(s, image)
+                            image = g.involutions[s][image]
                         composite[t] = image
                     if any(composite[t] != t for t in g.labels):
                         failures.append(AdmissibilityFailure((u, v), "Holonomy", composite))

@@ -43,7 +43,7 @@ from cubegroups.rep import sign_formula_mismatches
 from cubegroups.signedperm import Perm, SignedPermutation
 from cubegroups.sweep import _admissible_graphs, enumerate_decorated_graphs, sweep, verify_graph
 
-from conftest import graph_from
+from conftest import from_maps, graph_from
 
 
 def cycle_graph(n):
@@ -170,12 +170,12 @@ class TestGeneratorRho:
     def test_d4_a(self, d4):
         rho = generator_rho(d4, "a")
         assert rho.perm_map() == {"a": "a", "b": "c", "c": "b"}
-        assert [rho.sign_of(t) for t in "abc"] == [-1, 1, 1]
+        assert rho.signs == (-1, 1, 1)
 
     def test_d4_b(self, d4):
         rho = generator_rho(d4, "b")
         assert rho.perm_map() == {"a": "a", "b": "b", "c": "c"}
-        assert [rho.sign_of(t) for t in "abc"] == [1, -1, 1]
+        assert rho.signs == (1, -1, 1)
 
     def test_unknown_label(self, d4):
         with pytest.raises(UnknownLabelError):
@@ -186,8 +186,7 @@ class TestGeneratorRho:
         for _, g in _admissible_graphs(rank):
             for s in g.labels:
                 signs = {t: -1 if t == s else 1 for t in g.labels}
-                assert generator_rho(g, s) == SignedPermutation.from_maps(
-                    g.labels, g.involutions[s], signs)
+                assert generator_rho(g, s) == from_maps(g.labels, g.involutions[s], signs)
 
 
 class TestIsHypercube:
@@ -1132,7 +1131,7 @@ class TestVertexClosure:
         labels = d4.labels
         negated = {"a": "b", "b": "b", "c": "c"}
         images = [
-            SignedPermutation.from_maps(
+            from_maps(
                 labels, d4.involutions[s], {t: -1 if t == negated[s] else 1 for t in labels}
             ).point_images()
             for s in labels

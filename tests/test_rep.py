@@ -59,7 +59,7 @@ class TestSignCount:
         sc = sign_count(d4, ["b", "a"], "b")
         assert sc.count == 1
         m = generator_rho(d4, "a").compose(generator_rho(d4, "b"))
-        assert m.sign_of("b") == -1 and m.image_label("b") == "c"
+        assert m.signs[1] == -1 and m.labels[m.perm[1]] == "c"  # b is position 1
 
     def test_parity_independent_of_word(self, d4):
         G = generate_group(d4)
@@ -88,9 +88,9 @@ class TestSignCount:
         for _ in range(60):
             word = tuple(rng.choice(rank5.labels) for _ in range(rng.randint(0, 12)))
             m = rho_via_formula(rank5, word)
-            for t in rank5.labels:
-                assert sign_count(rank5, word, t).sign == m.sign_of(t)
-                signs.add(m.sign_of(t))
+            for t, sign in zip(rank5.labels, m.signs):
+                assert sign_count(rank5, word, t).sign == sign
+                signs.add(sign)
         assert signs == {-1, 1}
 
     def test_first_unknown_letter_is_reported(self, d4):
@@ -270,7 +270,7 @@ class TestInvariantSubspaces:
         for block in invariant_coordinate_subspaces(rank5):
             for s in rank5.labels:
                 m = generator_rho(rank5, s)
-                assert {m.image_label(t) for t in block} == block
+                assert {m.perm_map()[t] for t in block} == block
 
 
 class TestReducibility:

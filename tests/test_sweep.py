@@ -251,18 +251,18 @@ def test_search_examines_the_pinned_seed_count(monkeypatch):
 
 
 def _unrolled_admissible(g):
-    """Brute force: unroll each seed's recurrence with the public `g.apply`
-    and compose the four involutions along its period by hand."""
+    """Brute force: unroll each seed's recurrence on `g.involutions` and
+    compose the four involutions along its period by hand."""
     for u, v in itertools.permutations(g.labels, 2):
         terms = [u, v]
         for _ in range(4):
-            terms.append(g.apply(terms[-1], terms[-2]))
+            terms.append(g.involutions[terms[-1]][terms[-2]])
         if terms[4:] != [u, v]:
             return False
         for t in g.labels:
             image = t
             for s in terms[:4]:
-                image = g.apply(s, image)
+                image = g.involutions[s][image]
             if image != t:
                 return False
     return True
@@ -272,13 +272,13 @@ def _unrolled_admissible(g):
 def test_smallest_ranks_against_brute_force(rank, monkeypatch):
     """At ranks 1 and 2 the core's verdicts, the search and the sweep agree
     with the unrolled check.  Rank 1 has no seed, and the core and the search
-    build no getter there: ``itemgetter(0)`` would return an item, not a 1-tuple."""
+    build no `itemgetter` there: ``itemgetter(0)`` would return an item, not a
+    1-tuple, so `graphs._getter` makes a rank-1 getter a lambda."""
     if rank == 1:
         def refuse(*items):
             raise AssertionError("a getter built at rank 1")
 
         monkeypatch.setattr(graphs, "itemgetter", refuse)
-        monkeypatch.setattr(sweep_module, "itemgetter", refuse)
     population = list(enumerate_decorated_graphs(rank))
     brute = [(i, g) for i, g in enumerate(population) if _unrolled_admissible(g)]
     assert len(brute) == 1
